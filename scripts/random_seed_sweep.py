@@ -28,7 +28,8 @@ def main() -> int:
                 detected[row.bug_id] += 1
                 report = result.report
                 runs_needed[row.bug_id].append(
-                    report.runs_completed + report.runs_rejected + 1)
+                    report.paths_explored + report.paths_pruned_by_assume
+                    + report.paths_truncated + 1)
 
     print(f"{'bug':8s} {'detected':>9s} {'avg runs to find':>17s}")
     for bug in sorted(set(detected) | set(r.bug_id for r in matrix.rows)):

@@ -30,7 +30,7 @@ def main() -> int:
             r = result.report
             print(f"  {result.entry.name:32s} paths={r.paths_explored:<6d} "
                   f"pruned={r.paths_pruned_by_assume:<6d} "
-                  f"rejected={r.runs_rejected:<6d} time={r.wall_time:.3f}s")
+                  f"truncated={r.paths_truncated:<6d} time={r.wall_time:.3f}s")
         if backend == EXHAUSTIVE and not matrix.all_match:
             ok = False
     return 0 if ok else 1

@@ -24,13 +24,6 @@ from .speclib import BUGGY, FIXED, VariantFlag, resolve_variant
 ALLOCATOR_TAG = 0xA110C
 
 
-class InitStyle(Enum):
-    """Initialization discipline for nondet structure preconditions."""
-    ASSUME = "assume"            # draw fields, constrain with assume
-    EXPLICIT_SIZE = "explicit"   # allocate first, split on the null branch
-    COERCE = "coerce"            # clamp draws by modulo, never reject
-
-
 # =========================================================================
 # byte_buf
 # =========================================================================
@@ -44,10 +37,6 @@ class ByteBuf:
     def __init__(self, ctx: RunContext, ptr: Pointer):
         self.ctx = ctx
         self.ptr = ptr
-
-    @classmethod
-    def stack(cls, ctx: RunContext) -> "ByteBuf":
-        return cls(ctx, ctx.heap.alloc(cls.SIZE))
 
     @property
     def buffer(self) -> Pointer:
@@ -97,39 +86,18 @@ def byte_buf_is_valid(ctx: RunContext, bufp: Pointer,
     return cap > 0 and length <= cap and h.is_deref(buf, writable)
 
 
-def init_byte_buf(ctx: RunContext, bufp: Pointer,
-                  style: InitStyle = InitStyle.ASSUME) -> None:
+def init_byte_buf(ctx: RunContext, bufp: Pointer) -> None:
     """Factored-out precondition: fill a byte_buf slot with a nondet state
-    consistent with the representation invariant, in one of three styles."""
+    consistent with the representation invariant.  Fields are drawn first
+    and constrained with assume."""
     b = ByteBuf(ctx, bufp)
-    max_buffer = ctx.cfg.size_bound
-    if style is InitStyle.ASSUME:
-        length = sl.nd_size_t(ctx)
-        cap = sl.nd_size_t(ctx)
-        ctx.assume(length <= cap)
-        ctx.assume(cap <= max_buffer)
-        b.len = length
-        b.capacity = cap
-        b.buffer = sl.can_fail_malloc(ctx, cap)
-    elif style is InitStyle.EXPLICIT_SIZE:
-        cap = sl.nd_size_t(ctx)
-        ctx.assume(cap <= max_buffer)
-        buf = sl.can_fail_malloc(ctx, cap)
-        b.buffer = buf
-        if not buf.is_null:
-            length = sl.nd_size_t(ctx)
-            ctx.assume(length <= cap)
-            b.len = length
-            b.capacity = cap
-        else:
-            b.len = 0
-            b.capacity = 0
-    else:  # COERCE
-        cap = sl.coerce_bound(sl.nd_size_t(ctx), max_buffer)
-        length = sl.coerce_bound(sl.nd_size_t(ctx), cap)
-        b.len = length
-        b.capacity = cap
-        b.buffer = sl.can_fail_malloc(ctx, cap)
+    length = sl.nd_size_t(ctx)
+    cap = sl.nd_size_t(ctx)
+    ctx.assume(length <= cap)
+    ctx.assume(cap <= ctx.cfg.size_bound)
+    b.len = length
+    b.capacity = cap
+    b.buffer = sl.can_fail_malloc(ctx, cap)
     b.set_allocator()
 
 
@@ -155,10 +123,6 @@ class ArrayList:
     def __init__(self, ctx: RunContext, ptr: Pointer):
         self.ctx = ctx
         self.ptr = ptr
-
-    @classmethod
-    def stack(cls, ctx: RunContext) -> "ArrayList":
-        return cls(ctx, ctx.heap.alloc(cls.SIZE))
 
     @property
     def data(self) -> Pointer:
@@ -398,16 +362,8 @@ def nd_init_linked_list_from_head(ctx, listp):
     return nd_init_linked_list(ctx, listp, StubShape.FROM_HEAD)
 
 
-def nd_init_linked_list_from_tail(ctx, listp):
-    return nd_init_linked_list(ctx, listp, StubShape.FROM_TAIL)
-
-
-def nd_init_linked_list_both_ends(ctx, listp):
-    return nd_init_linked_list(ctx, listp, StubShape.BOTH_ENDS)
-
-
-def _walk_concrete(ctx: RunContext, start: Pointer, link_off: int) -> list[SavedNode]:
-    """Record (identity, prev, next) of nodes reachable over the given link
+def _walk_concrete(ctx: RunContext, start: Pointer) -> list[SavedNode]:
+    """Record (identity, prev, next) of nodes reachable over next links
     without ever dereferencing a nondet pointer."""
     h = ctx.heap
     nodes: list[SavedNode] = []
@@ -418,7 +374,7 @@ def _walk_concrete(ctx: RunContext, start: Pointer, link_off: int) -> list[Saved
         prev = node_prev(ctx, cur)
         nxt = node_next(ctx, cur)
         nodes.append(SavedNode(cur, prev, nxt))
-        cur = nxt if link_off == _NEXT_OFF else prev
+        cur = nxt
         if cur.is_null or cur.is_wild:
             break
     return nodes
@@ -428,14 +384,7 @@ def linked_list_save_to_tail(ctx: RunContext, listp: Pointer, size: SizeToken,
                              start: Pointer) -> SavedNodes:
     """Snapshot the concrete head-side nodes and start modification
     tracking; the matching is_unchanged check closes the frame."""
-    nodes = _walk_concrete(ctx, start, _NEXT_OFF)
-    ctx.heap.tracking_on()
-    return SavedNodes(tuple(nodes))
-
-
-def linked_list_save_to_head(ctx: RunContext, listp: Pointer, size: SizeToken,
-                             start: Pointer) -> SavedNodes:
-    nodes = _walk_concrete(ctx, start, _PREV_OFF)
+    nodes = _walk_concrete(ctx, start)
     ctx.heap.tracking_on()
     return SavedNodes(tuple(nodes))
 
@@ -454,7 +403,6 @@ def linked_list_is_unchanged(ctx: RunContext, listp: Pointer,
 
 
 linked_list_is_unchanged_to_tail = linked_list_is_unchanged
-linked_list_is_unchanged_to_head = linked_list_is_unchanged
 
 
 def linked_list_empty(ctx: RunContext, listp: Pointer) -> bool:
@@ -471,12 +419,6 @@ def linked_list_node_prev_is_valid(ctx: RunContext, nodep: Pointer) -> bool:
     p = node_prev(ctx, nodep)
     return (not p.is_null) and ctx.heap.is_deref(p, NODE_SIZE) \
         and node_next(ctx, p) == nodep
-
-
-def linked_list_node_next_is_valid(ctx: RunContext, nodep: Pointer) -> bool:
-    n = node_next(ctx, nodep)
-    return (not n.is_null) and ctx.heap.is_deref(n, NODE_SIZE) \
-        and node_prev(ctx, n) == nodep
 
 
 # =========================================================================
@@ -562,11 +504,11 @@ class IterDecision(Enum):
     DELETE = "delete"
 
 
-def hash_iter_delete(ctx: RunContext, it: HashIter, destroy_contents: bool = False,
+def hash_iter_delete(ctx: RunContext, it: HashIter,
                      variant: VariantFlag | None = None) -> None:
     """Delete the entry under the iterator.  The buggy stub clears the hash
-    code but forgets to decrement entry_count.  destroy_contents is accepted
-    for signature parity; entry payloads are not modeled."""
+    code but forgets to decrement entry_count.  Entry payloads are not
+    modeled."""
     v = resolve_variant(ctx, "hash_iter_delete", variant)
     st = HashState(ctx, it.statep)
     ctx.heap.write_u64(st.entry(it.slot), 0, loc="hash_iter_delete")

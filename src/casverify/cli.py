@@ -6,7 +6,8 @@
     verify matrix [--backend random] [--advisory]
 
 Exit codes: 0 all verdicts as required, 1 verdict failure or expectation
-mismatch, 2 usage error (bad flags, no proofs matched, unreadable tape).
+mismatch, 2 usage error (bad flags or configuration, no proofs matched,
+unreadable tape).
 The CAS_SEED environment variable overrides --seed.
 """
 
@@ -16,7 +17,6 @@ import argparse
 import fnmatch
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import report as report_mod
 from .corpus import ProofEntry, register_corpus, run_case, run_matrix
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run every registered case and compare to its "
                             "expected verdict")
     run_p.add_argument("--fail-on-vacuity", action="store_true")
-    run_p.add_argument("--parallelism", "-j", type=int, default=1)
     run_p.add_argument("--save-tapes", default=None,
                        help="directory for counterexample tape files")
     _add_config_flags(run_p)
@@ -90,11 +89,18 @@ def config_from_args(args) -> ExploreConfig:
         if value is not None:
             overrides[name] = value
     if getattr(args, "byte_domain", None):
-        overrides["byte_domain"] = tuple(
-            int(x, 0) for x in args.byte_domain.split(","))
+        try:
+            overrides["byte_domain"] = tuple(
+                int(x, 0) for x in args.byte_domain.split(","))
+        except ValueError:
+            raise ValueError(f"--byte-domain {args.byte_domain!r} is not a "
+                             "comma-separated list of integers") from None
     env_seed = os.environ.get("CAS_SEED")
     if env_seed is not None:
-        overrides["seed"] = int(env_seed)
+        try:
+            overrides["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"CAS_SEED={env_seed!r} is not an integer") from None
     return ExploreConfig().with_overrides(**overrides)
 
 
@@ -113,23 +119,16 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, cfg: ExploreConfig) -> int:
     entries = _select(args.proofs)
     if not entries:
         print(f"no proofs matched {args.proofs!r}", file=sys.stderr)
         return 2
-    cfg = config_from_args(args)
     if args.check_expected:
         tasks = [(e, c) for e in entries for c in e.cases]
     else:
         tasks = [(e, e.free_case(args.variant)) for e in entries]
-    if args.parallelism > 1:
-        # Proof-level parallelism only; each run owns its heap, so results
-        # are identical to a serial run.
-        with ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            results = list(pool.map(lambda t: run_case(t[0], t[1], cfg), tasks))
-    else:
-        results = [run_case(e, c, cfg) for e, c in tasks]
+    results = [run_case(e, c, cfg) for e, c in tasks]
 
     if args.save_tapes:
         os.makedirs(args.save_tapes, exist_ok=True)
@@ -153,7 +152,7 @@ def _cmd_run(args) -> int:
     return 0 if all(r.status in acceptable for r in results) else 1
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args, cfg: ExploreConfig) -> int:
     entries = {e.name: e for e in register_corpus()}
     entry = entries.get(args.proof)
     if entry is None:
@@ -166,7 +165,7 @@ def _cmd_replay(args) -> int:
         print(f"cannot load tape: {e}", file=sys.stderr)
         return 2
     case = entry.free_case(args.variant)
-    cfg = entry.config_for(config_from_args(args), case)
+    cfg = entry.config_for(cfg, case)
     trace: list[str] = []
     try:
         rep = replay(entry.body, tape, cfg, name=entry.name,
@@ -182,12 +181,11 @@ def _cmd_replay(args) -> int:
     return 0 if v.is_pass else 1
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args, cfg: ExploreConfig) -> int:
     entries = [e for e in _select(args.proofs) if e.bug_id is not None]
     if not entries:
         print(f"no seeded-bug proofs matched {args.proofs!r}", file=sys.stderr)
         return 2
-    cfg = config_from_args(args)
     matrix = run_matrix(cfg, entries)
     doc = report_mod.build_document("matrix", cfg, matrix.results, matrix=matrix)
     if args.report == "json":
@@ -210,11 +208,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    try:
+        cfg = config_from_args(args)
+    except ValueError as e:
+        print(f"verify: bad configuration: {e}", file=sys.stderr)
+        return 2
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, cfg)
     if args.command == "replay":
-        return _cmd_replay(args)
-    return _cmd_matrix(args)
+        return _cmd_replay(args, cfg)
+    return _cmd_matrix(args, cfg)
 
 
 if __name__ == "__main__":

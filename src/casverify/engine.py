@@ -5,15 +5,22 @@ nondeterministic value it needs is drawn through `RunContext.choice` from a
 finite `Domain`, which makes each run a deterministic function of the
 sequence of chosen indices: the choice tape.  A counterexample is a tape.
 
-Two backends explore the tape space:
+One driver runs every backend: it re-executes the proof body once per
+tape, from scratch, and folds each run's outcome into one set of
+statistics.  The backends differ only in where each run's tape comes from:
 
 * exhaustive: depth-first enumeration with first-value default.  The proof
-  body is cheap to restart, so backtracking re-runs it from scratch with a
-  forced index prefix instead of capturing continuations.  Counterexamples
-  are minimal in lexicographic tape order.
+  body is cheap to restart, so backtracking re-runs it with the DFS
+  successor of the last tape as its prefix instead of capturing
+  continuations.  Counterexamples are minimal in lexicographic tape order.
 * random: independent seeded runs with boundary-biased draws; an `assume`
   failure aborts and rejects the run.  A random pass is explicitly weaker
   than an exhaustive pass and the report flags it.
+* replay: one run on a recorded tape, with no draws past its end.
+
+A run checks every prefix entry against the domain the proof draws, so a
+proof that is not a deterministic function of its tape raises
+ReplayMismatchError instead of being explored wrongly.
 
 There is no constraint solving: the exhaustive backend substitutes
 small-scope enumeration, stated honestly in reports.
@@ -24,12 +31,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .heap import Fault, Heap, HeapConfig, MemoryFaultError, Pointer, UsageError
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
+REPLAY = "replay"
 
 U64_MAX = (1 << 64) - 1
 
@@ -148,14 +156,17 @@ class ExploreConfig:
     heap: HeapConfig = field(default_factory=HeapConfig)
 
     def __post_init__(self):
-        for name in ("size_bound", "max_paths", "max_choices_per_path",
-                     "random_budget"):
-            if getattr(self, name) <= 0 and name != "size_bound":
-                raise ValueError(f"{name} must be positive")
         if self.size_bound < 0:
             raise ValueError("size_bound must be non-negative")
+        for name in ("max_paths", "max_choices_per_path", "random_budget"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not self.byte_domain:
             raise ValueError("byte_domain must be non-empty")
+        if len(set(self.byte_domain)) != len(self.byte_domain):
+            raise ValueError("byte_domain values must be duplicate-free")
+        if not all(0 <= b <= 0xFF for b in self.byte_domain):
+            raise ValueError("byte_domain values must lie in 0..255")
 
     def u64_domain_values(self) -> tuple[int, ...]:
         if self.u64_values is not None:
@@ -205,8 +216,6 @@ class RunReport:
     paths_explored: int = 0
     paths_pruned_by_assume: int = 0
     paths_truncated: int = 0
-    runs_completed: int = 0
-    runs_rejected: int = 0
     max_choice_depth: int = 0
     assertion_hits: dict = field(default_factory=dict)
     complete: bool = False
@@ -230,7 +239,32 @@ class ChoiceBudgetExceeded(Exception):
 
 class ReplayMismatchError(Exception):
     """Tape and proof disagree: different domain kind, index out of range,
-    or the proof drew past the end of the tape."""
+    or the proof drew past the end of the tape.  Under `explore` it means
+    the proof drew differently on a prefix an earlier run recorded."""
+
+
+# -- draw extenders ------------------------------------------------------------
+#
+# A run follows its tape prefix and asks an extender, `extend(pos, n)`, for
+# the index of every draw past it: `pos` is the draw's position on the tape
+# and `n` the size of its domain.
+
+def _first_index(pos: int, n: int) -> int:
+    return 0
+
+
+def _past_tape_end(pos: int, n: int) -> int:
+    raise ReplayMismatchError(
+        f"proof drew choice #{pos + 1} but tape has only {pos} entries")
+
+
+def _random_index(rng: random.Random) -> Callable[[int, int], int]:
+    def extend(pos: int, n: int) -> int:
+        # Boundary bias: a quarter of draws snap to a domain endpoint.
+        if n > 1 and rng.random() < 0.25:
+            return 0 if rng.random() < 0.5 else n - 1
+        return rng.randrange(n)
+    return extend
 
 
 class RunContext:
@@ -238,21 +272,22 @@ class RunContext:
 
     Exposes the heap, the draw/assume/assert primitives, and the per-helper
     fixed/buggy variant selection.  One context lives for exactly one path.
+    Draws follow `prefix`, each entry checked against the drawn domain's
+    kind and size, and `extend` picks every draw past it.
     """
 
     def __init__(self, cfg: ExploreConfig, *, buggy: frozenset[str] = frozenset(),
-                 forced: list[int] | None = None, tape: ChoiceTape | None = None,
-                 rng: random.Random | None = None, trace: list | None = None):
+                 prefix: Sequence[TapeEntry] = (),
+                 extend: Callable[[int, int], int] = _first_index,
+                 trace: list | None = None):
         self.cfg = cfg
         self._buggy = buggy
-        self._forced = forced
-        self._replay = tape
-        self._rng = rng
+        self._prefix = prefix
+        self._extend = extend
         self._trace = trace
         self.taken: list[TapeEntry] = []
         self.sizes: list[int] = []
         self.hits: dict[str, int] = {}
-        self.sites: dict[str, AssertionSite] = {}
         self._wild_count = 0
         self._byte_dom = Domain.u8(cfg.byte_domain)
         self.heap = Heap(cfg.heap, byte_source=self._draw_byte)
@@ -263,16 +298,12 @@ class RunContext:
         return self.choice(self._byte_dom)
 
     def choice(self, domain: Domain):
-        if len(self.taken) >= self.cfg.max_choices_per_path:
-            raise ChoiceBudgetExceeded()
         pos = len(self.taken)
+        if pos >= self.cfg.max_choices_per_path:
+            raise ChoiceBudgetExceeded()
         n = len(domain.values)
-        if self._replay is not None:
-            if pos >= len(self._replay.entries):
-                raise ReplayMismatchError(
-                    f"proof drew choice #{pos + 1} but tape has only "
-                    f"{len(self._replay.entries)} entries")
-            entry = self._replay.entries[pos]
+        if pos < len(self._prefix):
+            entry = self._prefix[pos]
             if entry.kind != domain.kind:
                 raise ReplayMismatchError(
                     f"tape entry #{pos + 1} is {entry.kind}, proof drew {domain.kind}")
@@ -280,23 +311,14 @@ class RunContext:
                 raise ReplayMismatchError(
                     f"tape entry #{pos + 1} index {entry.index} outside "
                     f"{domain.kind} domain of {n} values")
-            idx = entry.index
-        elif self._forced is not None and pos < len(self._forced):
-            idx = self._forced[pos]
-        elif self._rng is not None:
-            # Boundary bias: a quarter of draws snap to a domain endpoint.
-            if n > 1 and self._rng.random() < 0.25:
-                idx = 0 if self._rng.random() < 0.5 else n - 1
-            else:
-                idx = self._rng.randrange(n)
         else:
-            idx = 0
-        self.taken.append(TapeEntry(domain.kind, idx))
+            entry = TapeEntry(domain.kind, self._extend(pos, n))
+        self.taken.append(entry)
         self.sizes.append(n)
-        value = domain.values[idx]
+        value = domain.values[entry.index]
         if self._trace is not None:
-            self._trace.append(
-                f"choice {len(self.taken)}: {domain.kind}[{n}] -> index {idx} ({value!r})")
+            self._trace.append(f"choice {pos + 1}: {domain.kind}[{n}] -> "
+                               f"index {entry.index} ({value!r})")
         return value
 
     def fresh_wild(self) -> Pointer:
@@ -314,16 +336,14 @@ class RunContext:
             self._trace.append("assume: ok")
 
     def sassert(self, site, cond) -> None:
-        if isinstance(site, str):
-            site = AssertionSite(site)
-        self.sites.setdefault(site.site_id, site)
-        self.hits[site.site_id] = self.hits.get(site.site_id, 0) + 1
+        site_id = site if isinstance(site, str) else site.site_id
+        self.hits[site_id] = self.hits.get(site_id, 0) + 1
         if not cond:
             if self._trace is not None:
-                self._trace.append(f"assert {site.site_id}: FAILED")
-            raise AssertionFailed(site.site_id)
+                self._trace.append(f"assert {site_id}: FAILED")
+            raise AssertionFailed(site_id)
         if self._trace is not None:
-            self._trace.append(f"assert {site.site_id}: ok")
+            self._trace.append(f"assert {site_id}: ok")
 
     # -- variants -----------------------------------------------------------
 
@@ -331,48 +351,7 @@ class RunContext:
         return helper_name in self._buggy
 
 
-@dataclass
-class _PathOutcome:
-    status: str  # ok | prune | fail | choices_exhausted
-    taken: list[TapeEntry]
-    sizes: list[int]
-    hits: dict
-    sites: dict
-    fault: Fault | None = None
-    failed_site: str | None = None
-    message: str = ""
-
-
-def _run_once(proof: Callable, cfg: ExploreConfig, *, buggy=frozenset(),
-              forced=None, tape=None, rng=None, trace=None) -> _PathOutcome:
-    ctx = RunContext(cfg, buggy=buggy, forced=forced, tape=tape, rng=rng, trace=trace)
-    try:
-        proof(ctx)
-        status = "ok"
-        out = _PathOutcome(status, ctx.taken, ctx.sizes, ctx.hits, ctx.sites)
-    except PathPruned:
-        out = _PathOutcome("prune", ctx.taken, ctx.sizes, ctx.hits, ctx.sites)
-    except ChoiceBudgetExceeded:
-        out = _PathOutcome("choices_exhausted", ctx.taken, ctx.sizes, ctx.hits, ctx.sites)
-    except AssertionFailed as e:
-        out = _PathOutcome("fail", ctx.taken, ctx.sizes, ctx.hits, ctx.sites,
-                           failed_site=e.site_id, message=str(e))
-    except MemoryFaultError as e:
-        if trace is not None:
-            trace.append(f"heap fault: {e.fault.kind.value} at {e.fault.location}: "
-                         f"{e.fault.detail}")
-        out = _PathOutcome("fail", ctx.taken, ctx.sizes, ctx.hits, ctx.sites,
-                           fault=e.fault, message=str(e))
-    except UsageError as e:
-        out = _PathOutcome("fail", ctx.taken, ctx.sizes, ctx.hits, ctx.sites,
-                           message=f"framework usage error: {e}")
-    return out
-
-
-def _merge_hits(total: dict, sites: dict, out: _PathOutcome):
-    for sid, n in out.hits.items():
-        total[sid] = total.get(sid, 0) + n
-    sites.update(out.sites)
+# -- the exploration driver ------------------------------------------------------
 
 
 def explore(proof: Callable, cfg: ExploreConfig, *, name: str = "",
@@ -383,104 +362,17 @@ def explore(proof: Callable, cfg: ExploreConfig, *, name: str = "",
     `sites` declares the proof's assertion sites up front so that a site
     sitting in never-executed code still shows up (with zero hits) for
     vacuity analysis.
+
+    Raises ReplayMismatchError when the exhaustive backend finds that the
+    proof is not a deterministic function of its tape.
     """
-    t0 = time.perf_counter()
+    if cfg.backend == EXHAUSTIVE:
+        return _drive(proof, cfg, EXHAUSTIVE, name, sites, buggy,
+                      [], _first_index, cfg.max_paths)
     if cfg.backend == RANDOM:
-        report = _explore_random(proof, cfg, name, sites, buggy)
-    elif cfg.backend == EXHAUSTIVE:
-        report = _explore_exhaustive(proof, cfg, name, sites, buggy)
-    else:
-        raise ValueError(f"unknown backend {cfg.backend!r}")
-    report.wall_time = time.perf_counter() - t0
-    return report
-
-
-def _fail_verdict(out: _PathOutcome) -> Verdict:
-    return Verdict(VERDICT_FAIL, tape=ChoiceTape(tuple(out.taken)),
-                   fault=out.fault, failed_site=out.failed_site, message=out.message)
-
-
-def _explore_exhaustive(proof, cfg, name, declared, buggy) -> RunReport:
-    hits = {s.site_id: 0 for s in declared}
-    site_reg = {s.site_id: s for s in declared}
-    explored = pruned = truncated = depth = 0
-    prefix: list[int] = []
-    while True:
-        if explored + pruned + truncated >= cfg.max_paths:
-            return RunReport(name, EXHAUSTIVE,
-                             Verdict(VERDICT_BUDGET, message="max_paths exhausted"),
-                             paths_explored=explored, paths_pruned_by_assume=pruned,
-                             paths_truncated=truncated, max_choice_depth=depth,
-                             assertion_hits=hits, complete=False)
-        out = _run_once(proof, cfg, buggy=buggy, forced=prefix)
-        depth = max(depth, len(out.taken))
-        if out.status == "fail":
-            _merge_hits(hits, site_reg, out)
-            return RunReport(name, EXHAUSTIVE, _fail_verdict(out),
-                             paths_explored=explored, paths_pruned_by_assume=pruned,
-                             paths_truncated=truncated, max_choice_depth=depth,
-                             assertion_hits=hits, complete=True)
-        if out.status == "prune":
-            pruned += 1  # pruned paths contribute no verdict and no hits
-        elif out.status == "choices_exhausted":
-            truncated += 1
-            _merge_hits(hits, site_reg, out)
-        else:
-            explored += 1
-            _merge_hits(hits, site_reg, out)
-        # Advance to the next tape in lexicographic DFS order.
-        i = len(out.taken) - 1
-        while i >= 0 and out.taken[i].index + 1 >= out.sizes[i]:
-            i -= 1
-        if i < 0:
-            break
-        prefix = [e.index for e in out.taken[:i]] + [out.taken[i].index + 1]
-    complete = truncated == 0
-    status = VERDICT_PASS if complete else VERDICT_BUDGET
-    message = "" if complete else "some paths hit max_choices_per_path"
-    dead = (cfg.warn_dead_assume and complete and explored == 0 and pruned > 0)
-    return RunReport(name, EXHAUSTIVE, Verdict(status, message=message),
-                     paths_explored=explored, paths_pruned_by_assume=pruned,
-                     paths_truncated=truncated, max_choice_depth=depth,
-                     assertion_hits=hits, complete=complete, dead_assume_warning=dead)
-
-
-def _explore_random(proof, cfg, name, declared, buggy) -> RunReport:
-    hits = {s.site_id: 0 for s in declared}
-    site_reg = {s.site_id: s for s in declared}
-    rng = random.Random(cfg.seed)
-    completed = rejected = truncated = depth = 0
-    for _ in range(cfg.random_budget):
-        out = _run_once(proof, cfg, buggy=buggy, rng=rng)
-        depth = max(depth, len(out.taken))
-        if out.status == "fail":
-            _merge_hits(hits, site_reg, out)
-            return RunReport(name, RANDOM, _fail_verdict(out),
-                             paths_explored=completed, runs_completed=completed,
-                             runs_rejected=rejected,
-                             paths_pruned_by_assume=rejected,
-                             paths_truncated=truncated,
-                             max_choice_depth=depth, assertion_hits=hits,
-                             complete=True)
-        if out.status == "prune":
-            rejected += 1
-        elif out.status == "choices_exhausted":
-            truncated += 1
-        else:
-            completed += 1
-            _merge_hits(hits, site_reg, out)
-    if completed == 0:
-        verdict = Verdict(VERDICT_BUDGET,
-                          message=f"all {cfg.random_budget} runs rejected or truncated")
-    else:
-        verdict = Verdict(VERDICT_PASS,
-                          message="random pass: no failing run found within budget "
-                                  "(weaker than exhaustive)")
-    return RunReport(name, RANDOM, verdict, paths_explored=completed,
-                     runs_completed=completed, runs_rejected=rejected,
-                     paths_pruned_by_assume=rejected,
-                     paths_truncated=truncated, max_choice_depth=depth,
-                     assertion_hits=hits, complete=False)
+        return _drive(proof, cfg, RANDOM, name, sites, buggy,
+                      (), _random_index(random.Random(cfg.seed)), cfg.random_budget)
+    raise ValueError(f"unknown backend {cfg.backend!r}")
 
 
 def replay(proof: Callable, tape: ChoiceTape, cfg: ExploreConfig, *, name: str = "",
@@ -492,23 +384,101 @@ def replay(proof: Callable, tape: ChoiceTape, cfg: ExploreConfig, *, name: str =
     recorded or runs past the end of the tape.  A tape may legally go
     unconsumed (e.g. replaying a buggy counterexample against the fixed
     variant)."""
+    return _drive(proof, cfg, REPLAY, name, sites, buggy,
+                  tape.entries, _past_tape_end, 1, trace)
+
+
+def _dfs_successor(taken: list[TapeEntry], sizes: list[int]) -> list[TapeEntry] | None:
+    """The prefix of the next tape in lexicographic DFS order, or None when
+    the tape tree is exhausted."""
+    i = len(taken) - 1
+    while i >= 0 and taken[i].index + 1 >= sizes[i]:
+        i -= 1
+    if i < 0:
+        return None
+    return taken[:i] + [TapeEntry(taken[i].kind, taken[i].index + 1)]
+
+
+def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
+           declared: Iterable[AssertionSite], buggy: frozenset[str],
+           prefix: Sequence[TapeEntry] | None, extend: Callable[[int, int], int],
+           max_runs: int, trace: list | None = None) -> RunReport:
+    """The one exploration loop behind every backend.
+
+    Each run follows `prefix` and takes draws past it from `extend`.  The
+    exhaustive backend then moves to the DFS successor of the run's tape;
+    random and replay runs all start from the same prefix.  The loop ends
+    at the first failing run, when the tape tree is exhausted, or after
+    `max_runs` runs.  Every run except a pruned one adds its assertion
+    hits, a run cut off by max_choices_per_path included."""
     t0 = time.perf_counter()
-    hits = {s.site_id: 0 for s in sites}
-    site_reg = {s.site_id: s for s in sites}
-    out = _run_once(proof, cfg, buggy=buggy, tape=tape, trace=trace)
-    if out.status == "fail":
-        verdict = _fail_verdict(out)
-    elif out.status == "choices_exhausted":
-        verdict = Verdict(VERDICT_BUDGET, message="max_choices_per_path hit during replay")
-    elif out.status == "prune":
-        verdict = Verdict(VERDICT_PASS, message="replayed path pruned by assume")
+    hits = {s.site_id: 0 for s in declared}
+    explored = pruned = truncated = depth = 0
+    failure = None
+    while explored + pruned + truncated < max_runs:
+        ctx = RunContext(cfg, buggy=buggy, prefix=prefix, extend=extend, trace=trace)
+        try:
+            proof(ctx)
+            explored += 1
+        except PathPruned:
+            pruned += 1
+            ctx.hits.clear()  # a pruned run contributes no verdict and no hits
+        except ChoiceBudgetExceeded:
+            truncated += 1
+        except AssertionFailed as e:
+            failure = Verdict(VERDICT_FAIL, failed_site=e.site_id, message=str(e))
+        except MemoryFaultError as e:
+            if trace is not None:
+                trace.append(f"heap fault: {e.fault.kind.value} at {e.fault.location}: "
+                             f"{e.fault.detail}")
+            failure = Verdict(VERDICT_FAIL, fault=e.fault, message=str(e))
+        except UsageError as e:
+            failure = Verdict(VERDICT_FAIL, message=f"framework usage error: {e}")
+        depth = max(depth, len(ctx.taken))
+        for sid, n in ctx.hits.items():
+            hits[sid] = hits.get(sid, 0) + n
+        if failure is not None:
+            break
+        if backend == EXHAUSTIVE:
+            prefix = _dfs_successor(ctx.taken, ctx.sizes)
+            if prefix is None:
+                break
+    if failure is not None:
+        verdict, complete = replace(failure, tape=ChoiceTape(tuple(ctx.taken))), True
     else:
-        verdict = Verdict(VERDICT_PASS)
-    _merge_hits(hits, site_reg, out)
-    return RunReport(name, "replay", verdict, paths_explored=1,
-                     paths_pruned_by_assume=1 if out.status == "prune" else 0,
-                     max_choice_depth=len(out.taken), assertion_hits=hits,
-                     complete=True, wall_time=time.perf_counter() - t0)
+        verdict, complete = _end_verdict(cfg, backend, explored, truncated,
+                                         exhausted=prefix is None)
+    dead = (backend == EXHAUSTIVE and cfg.warn_dead_assume and verdict.is_pass
+            and explored == 0 and pruned > 0)
+    return RunReport(name, backend, verdict, paths_explored=explored,
+                     paths_pruned_by_assume=pruned, paths_truncated=truncated,
+                     max_choice_depth=depth, assertion_hits=hits, complete=complete,
+                     dead_assume_warning=dead, wall_time=time.perf_counter() - t0)
+
+
+def _end_verdict(cfg: ExploreConfig, backend: str, explored: int, truncated: int,
+                 exhausted: bool) -> tuple[Verdict, bool]:
+    """Verdict and completeness of an exploration without a failing run."""
+    if backend == EXHAUSTIVE:
+        if not exhausted:
+            return Verdict(VERDICT_BUDGET, message="max_paths exhausted"), False
+        if truncated:
+            return Verdict(VERDICT_BUDGET,
+                           message="some paths hit max_choices_per_path"), False
+        return Verdict(VERDICT_PASS), True
+    if backend == RANDOM:
+        if explored == 0:
+            return Verdict(VERDICT_BUDGET, message=f"all {cfg.random_budget} runs "
+                                                   "rejected or truncated"), False
+        return Verdict(VERDICT_PASS,
+                       message="random pass: no failing run found within budget "
+                               "(weaker than exhaustive)"), False
+    if truncated:
+        return Verdict(VERDICT_BUDGET,
+                       message="max_choices_per_path hit during replay"), True
+    if explored == 0:
+        return Verdict(VERDICT_PASS, message="replayed path pruned by assume"), True
+    return Verdict(VERDICT_PASS), True
 
 
 def standalone_context(cfg: ExploreConfig | None = None, *,

@@ -13,7 +13,7 @@ from .corpus import CaseResult, DetectionMatrix
 from .engine import ExploreConfig, RunReport
 from .vacuity import VacuityReport
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def config_dict(cfg: ExploreConfig) -> dict:
@@ -62,8 +62,6 @@ def case_result_dict(result: CaseResult) -> dict:
         "paths_explored": report.paths_explored,
         "paths_pruned_by_assume": report.paths_pruned_by_assume,
         "paths_truncated": report.paths_truncated,
-        "runs_completed": report.runs_completed,
-        "runs_rejected": report.runs_rejected,
         "max_choice_depth": report.max_choice_depth,
         "assertion_hits": dict(sorted(report.assertion_hits.items())),
         "dead_assume_warning": report.dead_assume_warning,

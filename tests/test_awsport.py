@@ -8,7 +8,6 @@ from casverify.awsport import (
     ByteBuf,
     HashIter,
     HashState,
-    InitStyle,
     IterDecision,
     LIST_SIZE,
     NODE_SIZE,
@@ -49,7 +48,7 @@ from casverify.awsport import (
     set_node_prev,
     tail_node,
 )
-from casverify.engine import RANDOM, ExploreConfig, U64_MAX, explore, standalone_context
+from casverify.engine import ExploreConfig, U64_MAX, explore, standalone_context
 from casverify.heap import NULL_PTR, FaultKind, MemoryFaultError
 from casverify.speclib import BUGGY, FIXED
 
@@ -119,32 +118,6 @@ def test_init_byte_buf_assume_style_enumerates_exact_pairs():
     assert report.verdict.is_pass
     assert pairs == {(l, c) for l in range(3) for c in range(3) if l <= c}
     assert len(pairs) == 6
-
-
-def test_init_byte_buf_explicit_size_null_branch_zeroes_fields():
-    null_states = []
-
-    def proof(ctx):
-        bufp = ctx.heap.alloc(ByteBuf.SIZE)
-        init_byte_buf(ctx, bufp, InitStyle.EXPLICIT_SIZE)
-        b = ByteBuf(ctx, bufp)
-        if b.buffer.is_null:
-            null_states.append((b.len, b.capacity))
-
-    explore(proof, exh(size_bound=2))
-    assert null_states and all(s == (0, 0) for s in null_states)
-
-
-def test_init_byte_buf_coerce_style_random_always_bounded():
-    def proof(ctx):
-        bufp = ctx.heap.alloc(ByteBuf.SIZE)
-        init_byte_buf(ctx, bufp, InitStyle.COERCE)
-        b = ByteBuf(ctx, bufp)
-        ctx.sassert("bounded", b.len <= b.capacity <= ctx.cfg.size_bound)
-
-    report = explore(proof, exh(backend=RANDOM, random_budget=300, seed=5))
-    assert report.verdict.is_pass
-    assert report.runs_completed == 300
 
 
 def test_append_preserves_fixed_invariant():

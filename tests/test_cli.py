@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from casverify.cli import main
 from casverify.report import SCHEMA_VERSION
 
@@ -151,10 +153,21 @@ def test_json_byte_identical_except_wall_time(tmp_path):
     assert _normalized(a) == _normalized(b)
 
 
-def test_parallel_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-    assert run_cli("run", "--check-expected", "--max-bound", "2",
-                   "-o", str(serial)) == 0
-    assert run_cli("run", "--check-expected", "--max-bound", "2",
-                   "-j", "4", "-o", str(parallel)) == 0
-    assert _normalized(serial) == _normalized(parallel)
+
+@pytest.mark.parametrize("flags,env", [
+    (["--max-bound", "-1"], None),
+    (["--byte-domain", "0,0"], None),
+    (["--byte-domain", "x"], None),
+    (["--byte-domain", "0,300"], None),
+    ([], "abc"),
+], ids=["negative_bound", "duplicate_bytes", "non_integer_bytes",
+        "byte_out_of_range", "non_integer_cas_seed"])
+def test_bad_config_exit_2(flags, env, tmp_path, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("CAS_SEED", env)
+    tape = tmp_path / "t.tape"
+    tape.write_text("bool:0\n")
+    for command in (["run", "--proofs", "is_mem_zeroed"], ["matrix"],
+                    ["replay", "is_mem_zeroed", str(tape)]):
+        assert run_cli(*command, *flags) == 2
+        assert "bad configuration" in capsys.readouterr().err

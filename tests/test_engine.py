@@ -187,6 +187,18 @@ def test_choice_budget_truncates_path():
     assert report.paths_truncated >= 1
 
 
+def test_truncated_run_hits_count_under_both_backends():
+    def proof(ctx):
+        while True:
+            ctx.sassert("s", True)
+            ctx.choice(Domain.custom((0,)))
+
+    ex = explore(proof, exh(max_choices_per_path=3))
+    rn = explore(proof, rnd(max_choices_per_path=3, random_budget=1))
+    assert ex.paths_truncated == rn.paths_truncated == 1
+    assert ex.assertion_hits == rn.assertion_hits == {"s": 4}
+
+
 # -- determinism --------------------------------------------------------------------
 
 def _strip_time(report):
@@ -209,7 +221,7 @@ def test_random_seed_determinism():
 def test_random_rejects_counted_and_budget_verdict():
     report = explore(proof_assume_false, rnd(random_budget=50, seed=1))
     assert report.verdict.status == "budget_exhausted"
-    assert report.runs_rejected == 50
+    assert report.paths_pruned_by_assume == 50
 
 
 def test_random_pass_is_flagged_incomplete():
@@ -268,6 +280,31 @@ def test_replay_leftover_tape_is_legal():
     assert rep.verdict.is_pass
 
 
+def test_replay_of_pruned_path_counts_like_explore():
+    tape = ChoiceTape((TapeEntry("bool", 0),))
+    rep = replay(proof_assume_false, tape, exh())
+    assert rep.verdict.is_pass
+    assert (rep.paths_explored, rep.paths_pruned_by_assume) == (0, 1)
+    assert rep.assertion_hits == {}
+
+
+@pytest.mark.parametrize("first,later", [
+    (Domain.size_t(2), Domain.size_t(0)),
+    (Domain.bools(), Domain.u8((0, 1, 2))),
+], ids=["domain_shrinks", "bool_u8_kind_flip"])
+def test_nondeterministic_proof_is_mismatch_under_explore(first, later):
+    # The second run follows the DFS successor of the first run's tape and
+    # draws from a different domain at the same position.
+    runs = []
+
+    def proof(ctx):
+        ctx.choice(later if runs else first)
+        runs.append(1)
+
+    with pytest.raises(ReplayMismatchError):
+        explore(proof, exh())
+
+
 def test_replay_reproduces_epoch_sequence():
     epochs = []
 
@@ -312,6 +349,13 @@ def test_config_bounds_validated():
         ExploreConfig(random_budget=-1)
     with pytest.raises(ValueError):
         ExploreConfig(byte_domain=())
+    with pytest.raises(ValueError):
+        ExploreConfig(byte_domain=(0, 0))
+    with pytest.raises(ValueError):
+        ExploreConfig(byte_domain=(0, 256))
+    with pytest.raises(ValueError):
+        ExploreConfig(size_bound=-1)
+    assert ExploreConfig(size_bound=0).size_bound == 0
 
 
 # -- monotonicity in the size bound ----------------------------------------------------
