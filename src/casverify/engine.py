@@ -28,6 +28,7 @@ small-scope enumeration, stated honestly in reports.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -65,9 +66,10 @@ class Domain:
 
     @staticmethod
     def bools() -> "Domain":
-        return Domain(KIND_BOOL, (False, True))
+        return _BOOLS
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def size_t(bound: int) -> "Domain":
         return Domain(KIND_SIZET, tuple(range(bound + 1)))
 
@@ -81,13 +83,18 @@ class Domain:
 
     @staticmethod
     def wild_token() -> "Domain":
-        # Single candidate: the draw marks creation of a fresh opaque token
-        # on the tape without multiplying paths.
-        return Domain(KIND_WILD, (0,))
+        return _WILD_TOKEN
 
     @staticmethod
     def custom(values: Iterable) -> "Domain":
         return Domain(KIND_CUSTOM, tuple(values))
+
+
+# Domains are immutable, so the fixed ones are built and validated once.
+_BOOLS = Domain(KIND_BOOL, (False, True))
+# Single candidate: the draw marks creation of a fresh opaque token on the
+# tape without multiplying paths.
+_WILD_TOKEN = Domain(KIND_WILD, (0,))
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,18 @@ class ExploreConfig:
         if self.u64_values is not None:
             return self.u64_values
         return tuple(sorted({0, 1, 2, self.size_bound, (1 << 32) - 1, U64_MAX}))
+
+    # The draw domains a config implies, built and validated on first use.
+    # cached_property stores into the instance dict, past the frozen
+    # __setattr__; fields, equality and hashing are unaffected.
+
+    @functools.cached_property
+    def byte_dom(self) -> Domain:
+        return Domain.u8(self.byte_domain)
+
+    @functools.cached_property
+    def u64_dom(self) -> Domain:
+        return Domain.u64(self.u64_domain_values())
 
     def with_overrides(self, **kw) -> "ExploreConfig":
         heap_kw = {k: kw.pop(k) for k in list(kw)
@@ -289,13 +308,12 @@ class RunContext:
         self.sizes: list[int] = []
         self.hits: dict[str, int] = {}
         self._wild_count = 0
-        self._byte_dom = Domain.u8(cfg.byte_domain)
         self.heap = Heap(cfg.heap, byte_source=self._draw_byte)
 
     # -- draws --------------------------------------------------------------
 
     def _draw_byte(self) -> int:
-        return self.choice(self._byte_dom)
+        return self.choice(self.cfg.byte_dom)
 
     def choice(self, domain: Domain):
         pos = len(self.taken)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 class PtrKind(Enum):
@@ -28,13 +28,13 @@ class PtrKind(Enum):
     WILD = "wild"
 
 
-@dataclass(frozen=True)
-class Pointer:
+class Pointer(NamedTuple):
     """Tagged pointer value.
 
     A valid pointer may carry an out-of-bounds offset; existence is legal,
     dereference is not.  Wild pointers are never dereferenceable and compare
-    equal iff their tokens are equal.
+    equal iff their tokens are equal.  Pointers are immutable tuples, so
+    equality and hashing are by value and cost no Python-level call.
     """
 
     kind: PtrKind
@@ -48,40 +48,45 @@ class Pointer:
 
     @staticmethod
     def valid(alloc_id: int, offset: int = 0) -> "Pointer":
-        return Pointer(PtrKind.VALID, alloc_id=alloc_id, offset=offset)
+        return _new_ptr(Pointer, (_VALID, alloc_id, offset, ""))
 
     @staticmethod
     def wild(token: str) -> "Pointer":
-        return Pointer(PtrKind.WILD, token=token)
+        return _new_ptr(Pointer, (_WILD, 0, 0, token))
 
     @property
     def is_null(self) -> bool:
-        return self.kind is PtrKind.NULL
+        return self.kind is _NULL
 
     @property
     def is_wild(self) -> bool:
-        return self.kind is PtrKind.WILD
+        return self.kind is _WILD
 
     def add(self, delta: int) -> "Pointer":
         """Pointer arithmetic.  Garbage stays garbage: shifting a null or
         wild pointer yields a never-dereferenceable value instead of failing,
         so that faults surface at the access, like they would in compiled
         code."""
-        if self.kind is PtrKind.VALID:
-            return Pointer(PtrKind.VALID, alloc_id=self.alloc_id, offset=self.offset + delta)
-        if self.kind is PtrKind.NULL:
+        kind = self.kind
+        if kind is _VALID:
+            return _new_ptr(Pointer, (_VALID, self.alloc_id, self.offset + delta, ""))
+        if kind is _NULL:
             return self if delta == 0 else Pointer.wild(f"null+{delta}")
         return self
 
     def __repr__(self) -> str:
-        if self.kind is PtrKind.NULL:
+        if self.kind is _NULL:
             return "null"
-        if self.kind is PtrKind.VALID:
+        if self.kind is _VALID:
             return f"&a{self.alloc_id}+{self.offset}"
         return f"wild({self.token})"
 
 
-NULL_PTR = Pointer(PtrKind.NULL)
+# Builds a Pointer from its four fields without the keyword-argument
+# handling of the generated constructor.
+_new_ptr = tuple.__new__
+_NULL, _VALID, _WILD = PtrKind.NULL, PtrKind.VALID, PtrKind.WILD
+NULL_PTR = Pointer(_NULL)
 
 
 class FaultKind(Enum):
@@ -208,19 +213,21 @@ class Heap:
 
     def _checked_alloc(self, p: Pointer, length: int, loc: str) -> Allocation:
         """Validity gate shared by read/write/havoc; length > 0 here."""
-        if p.is_null:
-            self._raise_fault(FaultKind.NULL_DEREF, loc, f"{length}-byte access through null")
-        if p.is_wild:
+        kind, alloc_id, offset, _ = p
+        if kind is not _VALID:
+            if kind is _NULL:
+                self._raise_fault(FaultKind.NULL_DEREF, loc,
+                                  f"{length}-byte access through null")
             self._raise_fault(FaultKind.WILD_DEREF, loc, f"{length}-byte access through {p!r}")
-        a = self.allocations.get(p.alloc_id)
+        a = self.allocations.get(alloc_id)
         if a is None:
             self._raise_fault(FaultKind.USE_AFTER_FREE, loc, f"access through unknown {p!r}")
         if a.freed:
             self._raise_fault(FaultKind.USE_AFTER_FREE, loc, f"access after free through {p!r}")
-        if p.offset < 0 or p.offset + length > a.size:
+        if offset < 0 or offset + length > a.size:
             self._raise_fault(
                 FaultKind.OUT_OF_BOUNDS, loc,
-                f"[{p.offset},{p.offset + length}) outside allocation of {a.size} bytes")
+                f"[{offset},{offset + length}) outside allocation of {a.size} bytes")
         return a
 
     def _zero_len_gate(self, p: Pointer, loc: str) -> bool:
@@ -235,7 +242,7 @@ class Heap:
     def _derefable(self, p: Pointer, length: int, strict: bool = False) -> bool:
         if length == 0 and not strict:
             return True
-        if p.is_null or p.is_wild:
+        if p.kind is not _VALID:
             return False
         a = self.allocations.get(p.alloc_id)
         if a is None or a.freed:
@@ -256,7 +263,7 @@ class Heap:
         if length == 0:
             return True
         a = self.allocations[p.alloc_id]
-        return all(a.state[i] != _UNINIT for i in range(p.offset, p.offset + length))
+        return a.state.count(_UNINIT, p.offset, p.offset + length) == 0
 
     # -- data movement ----------------------------------------------------
 
@@ -275,14 +282,19 @@ class Heap:
             self._zero_len_gate(p, loc)
             return b""
         a = self._checked_alloc(p, length, loc)
-        lo, hi = p.offset, p.offset + length
-        for i in range(lo, hi):
-            s = a.state[i]
-            if s == _HAVOC:
-                self._materialize(a, i, loc)
-            elif s == _UNINIT and self.config.uninit_read_is_fault:
-                self._raise_fault(FaultKind.UNINIT_READ, loc,
-                                  f"byte {i} of allocation {a.id} read before any write")
+        lo = p.offset
+        hi = lo + length
+        # Fast path: a range of written or already materialized bytes is
+        # copied as it is.  Otherwise havocked bytes are drawn in ascending
+        # order and the first uninitialized byte faults.
+        if a.state.count(_INIT, lo, hi) != length:
+            for i in range(lo, hi):
+                s = a.state[i]
+                if s == _HAVOC:
+                    self._materialize(a, i, loc)
+                elif s == _UNINIT and self.config.uninit_read_is_fault:
+                    self._raise_fault(FaultKind.UNINIT_READ, loc,
+                                      f"byte {i} of allocation {a.id} read before any write")
         return bytes(a.data[lo:hi])
 
     def write(self, p: Pointer, data: Iterable[int] | bytes, loc: str = "write"):
@@ -381,16 +393,23 @@ class Heap:
             a.tags[i] = TAG_PTR
 
     def read_ptr(self, p: Pointer, loc: str = "read_ptr") -> Pointer:
-        """Decode 8 bytes as a pointer.  Bytes that do not decode to a live
-        handle (scribbled or havocked storage) yield a wild pointer, so a
-        later dereference faults instead of silently aliasing."""
+        """Decode 8 bytes as a pointer.
+
+        All-zero bytes decode to null.  Other bytes decode to the pointer
+        they hold only when all 8 carry the pointer tag of one `write_ptr`,
+        that is, one write epoch.  Anything else, such as havocked,
+        scribbled, byte-copied or partly overwritten storage, yields a wild
+        pointer, so a later dereference faults instead of silently
+        aliasing a live allocation."""
         raw = int.from_bytes(self.read(p, 8, loc), "little")
         if raw == 0:
             return NULL_PTR
-        q = self._ptr_by_handle.get(raw)
-        if q is None:
-            return Pointer.wild(f"bits:{raw:#x}")
-        return q
+        a = self.allocations[p.alloc_id]
+        lo = p.offset
+        if (a.tags.count(TAG_PTR, lo, lo + 8) == 8
+                and a.epochs[lo:lo + 8].count(a.epochs[lo]) == 8):
+            return self._ptr_by_handle[raw]
+        return Pointer.wild(f"bits:{raw:#x}")
 
     # -- ordering ----------------------------------------------------------
 

@@ -43,11 +43,11 @@ def nd_size_t(ctx: RunContext) -> int:
 
 def nd_u64(ctx: RunContext) -> int:
     """Arbitrary 64-bit value drawn from the configured boundary set."""
-    return ctx.choice(Domain.u64(ctx.cfg.u64_domain_values()))
+    return ctx.choice(ctx.cfg.u64_dom)
 
 
 def nd_u8(ctx: RunContext) -> int:
-    return ctx.choice(Domain.u8(ctx.cfg.byte_domain))
+    return ctx.choice(ctx.cfg.byte_dom)
 
 
 def nd_bool(ctx: RunContext) -> bool:
@@ -129,13 +129,3 @@ def assert_bytes_match(ctx: RunContext, a: Pointer, b: Pointer, length: int,
         ctx.assume(i < length)
         ctx.sassert(byte_site,
                     ctx.heap.read(a.add(i), 1) == ctx.heap.read(b.add(i), 1))
-
-
-# -- fuzz-friendly bounding ----------------------------------------------------
-
-def coerce_bound(x: int, bound: int) -> int:
-    """Clamp a drawn value into [0, bound] by modulo instead of assume, so a
-    random backend never has to reject the run."""
-    if bound <= 0:
-        return 0
-    return x % (bound + 1)

@@ -5,6 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from casverify import speclib as sl
 from casverify.engine import (
+    KIND_BOOL,
+    KIND_SIZET,
+    KIND_U8,
+    KIND_U64,
+    KIND_WILD,
     RANDOM,
     AssertionSite,
     ChoiceTape,
@@ -393,6 +398,24 @@ def test_domain_validation():
         Domain.custom(())
     with pytest.raises(ValueError):
         Domain.custom((1, 1))
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ValueError):
+            Domain.size_t(-1)
+    with pytest.raises(ValueError):
+        exh(u64_values=(1, 1)).u64_dom
+
+
+def test_cached_domains_equal_fresh_ones():
+    assert Domain.bools() is Domain.bools() == Domain(KIND_BOOL, (False, True))
+    assert Domain.wild_token() is Domain.wild_token() == Domain(KIND_WILD, (0,))
+    assert Domain.size_t(3) is Domain.size_t(3) == Domain(KIND_SIZET, (0, 1, 2, 3))
+    cfg = exh(size_bound=3, byte_domain=(0x10, 0x20))
+    assert cfg.byte_dom is cfg.byte_dom == Domain(KIND_U8, (0x10, 0x20))
+    assert cfg.u64_dom is cfg.u64_dom == Domain(KIND_U64, cfg.u64_domain_values())
+    # The cached domains leave the config's value semantics alone.
+    twin = exh(size_bound=3, byte_domain=(0x10, 0x20))
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert cfg.with_overrides(byte_domain=(1,)).byte_dom == Domain(KIND_U8, (1,))
 
 
 def test_u64_default_boundary_values():

@@ -1,13 +1,22 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casverify import speclib as sl
+from casverify.engine import ChoiceTape, ExploreConfig, explore, replay
 from casverify.heap import (
+    _HAVOC,
+    _INIT,
+    _UNINIT,
     NULL_PTR,
     FaultKind,
     Heap,
     HeapConfig,
     MemoryFaultError,
     Pointer,
+    PtrKind,
     UsageError,
 )
 
@@ -180,6 +189,58 @@ def test_havoc_reads_come_from_source():
     # second read returns the already-materialized values, no new draws
     assert h.read(p, 2) == b"\xaa\xbb"
     assert h.read(p.add(2), 1) == b"\xcc"
+
+
+def reference_read(state: bytearray, data: bytearray, lo: int, hi: int,
+                   source, uninit_is_fault: bool) -> int | None:
+    """Per-byte model of `Heap.read` on one allocation: havocked bytes are
+    drawn in ascending order and become initialized; returns the first
+    uninitialized byte when that faults, else None."""
+    for i in range(lo, hi):
+        if state[i] == _HAVOC:
+            data[i] = source() & 0xFF
+            state[i] = _INIT
+        elif state[i] == _UNINIT and uninit_is_fault:
+            return i
+    return None
+
+
+def logging_source(log: list):
+    values = itertools.count(0x40)  # distinct values, so draw order shows in the data
+
+    def draw():
+        log.append(next(values))
+        return log[-1]
+    return draw
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([_UNINIT, _INIT, _HAVOC]), min_size=1, max_size=24),
+       st.booleans(), st.data())
+def test_read_matches_per_byte_reference(states, uninit_is_fault, data):
+    size = len(states)
+    lo = data.draw(st.integers(0, size - 1))
+    hi = data.draw(st.integers(lo + 1, size))
+    content = data.draw(st.binary(min_size=size, max_size=size))
+    heap_draws, ref_draws = [], []
+    h = make_heap(uninit_read_is_fault=uninit_is_fault,
+                  byte_source=logging_source(heap_draws))
+    p = h.alloc(size)
+    a = h.allocations[p.alloc_id]
+    a.state[:], a.data[:] = bytes(states), content
+    ref_state, ref_data = bytearray(states), bytearray(content)
+    assert h.is_init(p.add(lo), hi - lo) == (_UNINIT not in states[lo:hi])
+    ref_fault = reference_read(ref_state, ref_data, lo, hi,
+                               logging_source(ref_draws), uninit_is_fault)
+    if ref_fault is None:
+        assert h.read(p.add(lo), hi - lo) == bytes(ref_data[lo:hi])
+    else:
+        with pytest.raises(MemoryFaultError) as e:
+            h.read(p.add(lo), hi - lo)
+        assert fault_of(e) is FaultKind.UNINIT_READ
+        assert e.value.fault.detail.startswith(f"byte {ref_fault} of ")
+    assert heap_draws == ref_draws
+    assert a.state == ref_state and a.data == ref_data
 
 
 def test_havoc_without_source_is_usage_error():
@@ -384,7 +445,115 @@ def test_scribbled_pointer_decodes_wild():
     assert fault_of(e) is FaultKind.WILD_DEREF
 
 
+def live_slot(h: Heap):
+    """A 16-byte table whose first slot holds a live pointer (handle 1)."""
+    target = h.alloc(4)
+    table = h.alloc(16)
+    h.write_ptr(table, target)
+    return table, target
+
+
+def test_read_ptr_decodes_only_single_write_ptr_bytes():
+    handle = (1).to_bytes(8, "little")
+    scribbles = (
+        lambda h, t: h.write(t.add(8), handle),
+        lambda h, t: h.typed_write_u64(t.add(8), 1),
+        lambda h, t: h.write(t.add(8), h.read(t, 8)),  # a byte copy carries no provenance
+    )
+    for scribble in scribbles:
+        h = make_heap()
+        table, target = live_slot(h)
+        scribble(h, table)
+        assert h.read(table.add(8), 8) == handle
+        assert h.read_ptr(table.add(8)).is_wild
+        assert h.read_ptr(table) == target
+
+
+def test_read_ptr_of_a_partly_overwritten_pointer_is_wild():
+    h = make_heap()
+    table, _ = live_slot(h)
+    h.write(table, b"\x01")  # same value, new epoch and tag
+    assert h.read_ptr(table).is_wild
+    # Pointer tags throughout, but from two write_ptr calls.
+    h = make_heap()
+    table, _ = live_slot(h)
+    h.write_ptr(table.add(1), NULL_PTR)
+    assert h.read(table, 8) == (1).to_bytes(8, "little")
+    assert h.read_ptr(table).is_wild
+
+
+def test_read_ptr_of_zero_bytes_is_null():
+    h = make_heap(byte_source=lambda: 0)
+    table, _ = live_slot(h)
+    h.write(table.add(8), bytes(8))
+    assert h.read_ptr(table.add(8)) is NULL_PTR
+    h.havoc(table.add(8), 8)
+    assert h.read_ptr(table.add(8)) is NULL_PTR
+
+
+def havocked_slot_proof(ctx):
+    """A havocked slot never aliases a live pointer."""
+    table, _ = live_slot(ctx.heap)
+    slot = table.add(8)
+    sl.memhavoc(ctx, slot, 8)
+    q = ctx.heap.read_ptr(slot)
+    ctx.sassert("no_alias", q.is_null or q.is_wild)
+
+
+def test_havocked_slot_never_aliases_a_live_pointer():
+    cfg = ExploreConfig()
+    report = explore(havocked_slot_proof, cfg)
+    assert report.verdict.is_pass and report.complete
+    assert report.paths_explored == len(cfg.byte_domain) ** 8
+    handle_bytes = ChoiceTape.from_text("u8:1\n" + "u8:0\n" * 7)
+    assert replay(havocked_slot_proof, handle_bytes, cfg).verdict.is_pass
+
+
+# -- Pointer values -----------------------------------------------------------------
+
+def test_pointer_value_semantics():
+    p, q = Pointer.valid(3, 2), Pointer.valid(3, 1).add(1)
+    assert p == q and hash(p) == hash(q) and p is not q
+    assert p != Pointer.valid(3, 1) and p != Pointer.valid(4, 2)
+    assert Pointer.wild("t") == Pointer.wild("t") != Pointer.wild("u")
+    assert NULL_PTR == Pointer.null() == Pointer(PtrKind.NULL) == NULL_PTR.add(0)
+    assert {p: "p"}[q] == "p"
+    assert len({NULL_PTR, p, q, Pointer.wild("t"), Pointer.wild("t")}) == 3
+
+
+def test_equal_pointers_share_one_handle():
+    h = make_heap()
+    table, target = live_slot(h)
+    h.write_ptr(table.add(8), target.add(1).add(-1))
+    assert h.read(table, 8) == h.read(table.add(8), 8)
+    assert list(h._handle_by_ptr) == [target]
+    assert h.read_ptr(table.add(8)) == target
+
+
+@pytest.mark.parametrize("field", ["kind", "alloc_id", "offset", "token"])
+def test_pointer_is_immutable(field):
+    p = Pointer.valid(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(p, field, 0)
+    assert p == Pointer.valid(1, 2)
+
+
+def test_pointer_repr():
+    assert repr(NULL_PTR) == "null"
+    assert repr(Pointer.valid(2, 5)) == "&a2+5"
+    assert repr(Pointer.valid(2).add(-1)) == "&a2+-1"
+    assert repr(Pointer.wild("nd:1")) == "wild(nd:1)"
+    assert repr(NULL_PTR.add(3)) == "wild(null+3)"
+
+
 # -- ptr_cmp ----------------------------------------------------------------------
+
+def test_ptr_cmp_sorts_null_valid_wild():
+    order = [NULL_PTR, Pointer.valid(1, -1), Pointer.valid(1, 0), Pointer.valid(1, 7),
+             Pointer.valid(2, 0), Pointer.wild("a"), Pointer.wild("b")]
+    shuffled = order[3:] + order[:3]
+    assert sorted(shuffled, key=functools.cmp_to_key(Heap.ptr_cmp)) == order
+
 
 def test_ptr_cmp_reflexive_and_ordered():
     h = make_heap()

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from casverify import speclib as sl
 from casverify.engine import ExploreConfig, explore
@@ -234,26 +233,3 @@ def test_bytes_match_custom_label_sites():
     assert null_site.group_key == "assert_bytes_match:null_eq"
     assert byte_site.site_id == "call_one:byte_eq"
 
-
-# -- coerce_bound ------------------------------------------------------------------------------
-
-def test_coerce_bound_examples():
-    assert sl.coerce_bound(7, 4) == 2
-    assert sl.coerce_bound(3, 4) == 3
-    assert sl.coerce_bound(5, 0) == 0
-
-
-@settings(max_examples=200)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
-def test_coerce_bound_always_within_bound(x, bound):
-    assert 0 <= sl.coerce_bound(x, bound) <= bound
-
-
-def test_coerce_bound_never_prunes():
-    def proof(ctx):
-        x = sl.nd_u64(ctx)
-        ctx.sassert("in_range", sl.coerce_bound(x, 4) <= 4)
-
-    report = explore(proof, exh())
-    assert report.verdict.is_pass
-    assert report.paths_pruned_by_assume == 0
