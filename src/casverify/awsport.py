@@ -3,9 +3,9 @@
 Structures are not native records: their fields are serialized at fixed
 little-endian offsets inside heap allocations, because the interesting bugs
 (out-of-bounds string reads, strict-aliasing violations, the wild-pointer
-stub trick) are only expressible through the heap.  Scalar fields use
-untyped 8-byte loads/stores; pointer fields go through the heap's pointer
-encoding.
+stub trick) are only expressible through the heap.  Each struct is a
+`Record` subclass that declares its layout once, as a size and a field
+table.
 
 Helpers with a seeded bug exist in fixed and buggy variants selected per
 run (see speclib.VariantFlag).
@@ -25,45 +25,44 @@ ALLOCATOR_TAG = 0xA110C
 
 
 # =========================================================================
-# byte_buf
+# records
 # =========================================================================
 
-class ByteBuf:
-    """View over a heap-resident byte buffer record."""
-
-    SIZE = 32
-    _BUFFER, _LEN, _CAPACITY, _ALLOCATOR = 0, 8, 16, 24
+class Record:
+    """View over one heap-resident struct at `ptr`.  A subclass declares
+    its layout once: `SIZE` plus one field per member, built by `u64_field`
+    or `ptr_field` at the member's offset."""
 
     def __init__(self, ctx: RunContext, ptr: Pointer):
         self.ctx = ctx
         self.ptr = ptr
 
-    @property
-    def buffer(self) -> Pointer:
-        return self.ctx.heap.read_ptr(self.ptr.add(self._BUFFER))
 
-    @buffer.setter
-    def buffer(self, value: Pointer):
-        self.ctx.heap.write_ptr(self.ptr.add(self._BUFFER), value)
+def u64_field(off: int) -> property:
+    """Untyped 8-byte unsigned member at `off`.  Stores wrap modulo 2**64,
+    so decrementing a zero counter yields U64_MAX."""
+    return property(lambda rec: rec.ctx.heap.read_u64(rec.ptr.add(off)),
+                    lambda rec, v: rec.ctx.heap.write_u64(rec.ptr.add(off), v),
+                    doc=f"u64 at offset {off}")
 
-    @property
-    def len(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(self._LEN))
 
-    @len.setter
-    def len(self, value: int):
-        self.ctx.heap.write_u64(self.ptr.add(self._LEN), value)
+def ptr_field(off: int) -> property:
+    """Pointer member at `off`, stored in the heap's pointer encoding."""
+    return property(lambda rec: rec.ctx.heap.read_ptr(rec.ptr.add(off)),
+                    lambda rec, v: rec.ctx.heap.write_ptr(rec.ptr.add(off), v),
+                    doc=f"pointer at offset {off}")
 
-    @property
-    def capacity(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(self._CAPACITY))
 
-    @capacity.setter
-    def capacity(self, value: int):
-        self.ctx.heap.write_u64(self.ptr.add(self._CAPACITY), value)
+# =========================================================================
+# byte_buf
+# =========================================================================
 
-    def set_allocator(self):
-        self.ctx.heap.write_u64(self.ptr.add(self._ALLOCATOR), ALLOCATOR_TAG)
+class ByteBuf(Record):
+    SIZE = 32
+    buffer = ptr_field(0)
+    len = u64_field(8)
+    capacity = u64_field(16)
+    allocator = u64_field(24)
 
 
 def byte_buf_is_valid(ctx: RunContext, bufp: Pointer,
@@ -76,7 +75,7 @@ def byte_buf_is_valid(ctx: RunContext, bufp: Pointer,
     len == 0 and capacity > 0.  Pure predicate; never faults."""
     v = resolve_variant(ctx, "byte_buf_is_valid", variant)
     h = ctx.heap
-    if not h.is_deref(bufp, ByteBuf.SIZE) or not h.is_init(bufp, ByteBuf.SIZE):
+    if not h.is_init(bufp, ByteBuf.SIZE):
         return False
     b = ByteBuf(ctx, bufp)
     cap, length, buf = b.capacity, b.len, b.buffer
@@ -98,7 +97,7 @@ def init_byte_buf(ctx: RunContext, bufp: Pointer) -> None:
     b.len = length
     b.capacity = cap
     b.buffer = sl.can_fail_malloc(ctx, cap)
-    b.set_allocator()
+    b.allocator = ALLOCATOR_TAG
 
 
 def byte_buf_append_byte(ctx: RunContext, bufp: Pointer, value: int) -> bool:
@@ -116,53 +115,18 @@ def byte_buf_append_byte(ctx: RunContext, bufp: Pointer, value: int) -> bool:
 # array_list
 # =========================================================================
 
-class ArrayList:
+class ArrayList(Record):
     SIZE = 40
-    _DATA, _LENGTH, _CURRENT_SIZE, _ITEM_SIZE, _ALLOCATOR = 0, 8, 16, 24, 32
-
-    def __init__(self, ctx: RunContext, ptr: Pointer):
-        self.ctx = ctx
-        self.ptr = ptr
-
-    @property
-    def data(self) -> Pointer:
-        return self.ctx.heap.read_ptr(self.ptr.add(self._DATA))
-
-    @data.setter
-    def data(self, value: Pointer):
-        self.ctx.heap.write_ptr(self.ptr.add(self._DATA), value)
-
-    @property
-    def length(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(self._LENGTH))
-
-    @length.setter
-    def length(self, value: int):
-        self.ctx.heap.write_u64(self.ptr.add(self._LENGTH), value)
-
-    @property
-    def current_size(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(self._CURRENT_SIZE))
-
-    @current_size.setter
-    def current_size(self, value: int):
-        self.ctx.heap.write_u64(self.ptr.add(self._CURRENT_SIZE), value)
-
-    @property
-    def item_size(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(self._ITEM_SIZE))
-
-    @item_size.setter
-    def item_size(self, value: int):
-        self.ctx.heap.write_u64(self.ptr.add(self._ITEM_SIZE), value)
-
-    def set_allocator(self):
-        self.ctx.heap.write_u64(self.ptr.add(self._ALLOCATOR), ALLOCATOR_TAG)
+    data = ptr_field(0)
+    length = u64_field(8)
+    current_size = u64_field(16)
+    item_size = u64_field(24)
+    allocator = u64_field(32)
 
 
 def array_list_is_valid(ctx: RunContext, listp: Pointer) -> bool:
     h = ctx.heap
-    if not h.is_deref(listp, ArrayList.SIZE) or not h.is_init(listp, ArrayList.SIZE):
+    if not h.is_init(listp, ArrayList.SIZE):
         return False
     lst = ArrayList(ctx, listp)
     item_size, length, size = lst.item_size, lst.length, lst.current_size
@@ -184,7 +148,7 @@ def init_array_list(ctx: RunContext, listp: Pointer) -> None:
     lst.length = length
     lst.current_size = length * item_size
     lst.data = sl.can_fail_malloc(ctx, length * item_size)
-    lst.set_allocator()
+    lst.allocator = ALLOCATOR_TAG
 
 
 OP_SUCCESS = 0
@@ -425,34 +389,21 @@ def linked_list_node_prev_is_valid(ctx: RunContext, nodep: Pointer) -> bool:
 # hash table state
 # =========================================================================
 
-STATE_SIZE = 24          # entry_count @0, num_slots @8, slots @16
-ENTRY_SIZE = 24          # hash_code @0, key @8, value @16
+class HashEntry(Record):
+    SIZE = 24
+    hash_code = u64_field(0)
+    key = ptr_field(8)
+    value = ptr_field(16)
 
 
-class HashState:
-    def __init__(self, ctx: RunContext, ptr: Pointer):
-        self.ctx = ctx
-        self.ptr = ptr
-
-    @property
-    def entry_count(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(0))
-
-    @entry_count.setter
-    def entry_count(self, value: int):
-        # unsigned counter: decrementing zero wraps around
-        self.ctx.heap.write_u64(self.ptr.add(0), value & U64_MAX)
-
-    @property
-    def num_slots(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(8))
-
-    @property
-    def slots(self) -> Pointer:
-        return self.ctx.heap.read_ptr(self.ptr.add(16))
+class HashState(Record):
+    SIZE = 24
+    entry_count = u64_field(0)
+    num_slots = u64_field(8)
+    slots = ptr_field(16)
 
     def entry(self, i: int) -> Pointer:
-        return self.slots.add(i * ENTRY_SIZE)
+        return self.slots.add(i * HashEntry.SIZE)
 
     def entry_hash(self, i: int) -> int:
         return self.ctx.heap.read_u64(self.entry(i))
@@ -463,19 +414,17 @@ def nd_init_hash_table(ctx: RunContext, num_slots: int) -> Pointer:
     entry_count drawn independently.  Nothing ties the two together; the
     caller assumes the representation invariant when it wants a consistent
     table."""
-    statep = ctx.heap.alloc(STATE_SIZE)
-    slotsp = ctx.heap.alloc(num_slots * ENTRY_SIZE)
-    h = ctx.heap
+    st = HashState(ctx, ctx.heap.alloc(HashState.SIZE))
+    slotsp = ctx.heap.alloc(num_slots * HashEntry.SIZE)
     for i in range(num_slots):
-        code = ctx.choice(Domain.custom((0, 1)))
-        entry = slotsp.add(i * ENTRY_SIZE)
-        h.write_u64(entry, code)
-        h.write_ptr(entry.add(8), NULL_PTR)
-        h.write_ptr(entry.add(16), NULL_PTR)
-    h.write_u64(statep.add(0), sl.nd_size_t(ctx))
-    h.write_u64(statep.add(8), num_slots)
-    h.write_ptr(statep.add(16), slotsp)
-    return statep
+        e = HashEntry(ctx, slotsp.add(i * HashEntry.SIZE))
+        e.hash_code = ctx.choice(Domain.custom((0, 1)))
+        e.key = NULL_PTR
+        e.value = NULL_PTR
+    st.entry_count = sl.nd_size_t(ctx)
+    st.num_slots = num_slots
+    st.slots = slotsp
+    return st.ptr
 
 
 def hash_table_is_valid(ctx: RunContext, statep: Pointer) -> bool:
@@ -483,11 +432,11 @@ def hash_table_is_valid(ctx: RunContext, statep: Pointer) -> bool:
     a nonzero hash code and never exceeds num_slots.  Underflow of the
     unsigned counter shows up as a violation of both conjuncts."""
     h = ctx.heap
-    if not h.is_deref(statep, STATE_SIZE) or not h.is_init(statep, STATE_SIZE):
+    if not h.is_init(statep, HashState.SIZE):
         return False
     st = HashState(ctx, statep)
     n = st.num_slots
-    if not h.is_deref(st.slots, n * ENTRY_SIZE):
+    if not h.is_deref(st.slots, n * HashEntry.SIZE):
         return False
     nonzero = sum(1 for i in range(n) if st.entry_hash(i) != 0)
     return st.entry_count == nonzero and st.entry_count <= n
@@ -532,52 +481,41 @@ def hash_table_foreach(ctx: RunContext, statep: Pointer, callback,
 # strings
 # =========================================================================
 
-STRING_SIZE = 16         # len @0, bytes @8
-
-
-class AwsString:
-    def __init__(self, ctx: RunContext, ptr: Pointer):
-        self.ctx = ctx
-        self.ptr = ptr
-
-    @property
-    def len(self) -> int:
-        return self.ctx.heap.read_u64(self.ptr.add(0))
-
-    @property
-    def bytes(self) -> Pointer:
-        return self.ctx.heap.read_ptr(self.ptr.add(8))
+class AwsString(Record):
+    SIZE = 16
+    len = u64_field(0)
+    bytes = ptr_field(8)
 
 
 def nd_init_aws_string(ctx: RunContext) -> Pointer:
     """String satisfying the strong invariant: storage for len + 1 bytes,
     arbitrary content, zero terminator in place."""
-    sp = ctx.heap.alloc(STRING_SIZE)
+    s = AwsString(ctx, ctx.heap.alloc(AwsString.SIZE))
     length = sl.nd_size_t(ctx)
     storage = ctx.heap.alloc(length + 1)
     if length:
         ctx.heap.havoc(storage, length)
     ctx.heap.write(storage.add(length), b"\x00")
-    ctx.heap.write_u64(sp.add(0), length)
-    ctx.heap.write_ptr(sp.add(8), storage)
-    return sp
+    s.len = length
+    s.bytes = storage
+    return s.ptr
 
 
 def nd_init_aws_string_weak(ctx: RunContext) -> Pointer:
     """String whose fields are merely filled in, with no relation between
     the recorded length and the actual allocation: all the plain C-string
     invariant can promise."""
-    sp = ctx.heap.alloc(STRING_SIZE)
+    s = AwsString(ctx, ctx.heap.alloc(AwsString.SIZE))
     length = sl.nd_size_t(ctx)
     storage_size = sl.nd_size_t(ctx)
-    ctx.heap.write_u64(sp.add(0), length)
-    ctx.heap.write_ptr(sp.add(8), sl.can_fail_malloc(ctx, storage_size))
-    return sp
+    s.len = length
+    s.bytes = sl.can_fail_malloc(ctx, storage_size)
+    return s.ptr
 
 
 def aws_string_is_valid(ctx: RunContext, sp: Pointer) -> bool:
     h = ctx.heap
-    if not h.is_deref(sp, STRING_SIZE) or not h.is_init(sp, STRING_SIZE):
+    if not h.is_init(sp, AwsString.SIZE):
         return False
     s = AwsString(ctx, sp)
     storage = s.bytes

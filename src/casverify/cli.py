@@ -19,15 +19,17 @@ import os
 import sys
 
 from . import report as report_mod
-from .corpus import ProofEntry, register_corpus, run_case, run_matrix
-from .engine import ChoiceTape, ExploreConfig, ReplayMismatchError, replay
+from .corpus import (ProofEntry, corpus_by_name, register_corpus, run_case,
+                     run_matrix)
+from .engine import (EXHAUSTIVE, RANDOM, ChoiceTape, ExploreConfig,
+                     ReplayMismatchError, replay)
 from .vacuity import STATUS_PASS, STATUS_PASS_BUT_VACUOUS
 
 _COMMANDS = ("run", "replay", "matrix")
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--backend", choices=["exhaustive", "random"], default=None)
+    p.add_argument("--backend", choices=[EXHAUSTIVE, RANDOM], default=None)
     p.add_argument("--max-bound", dest="size_bound", type=int, default=None,
                    help="small-scope bound for size draws")
     p.add_argument("--byte-domain", default=None,
@@ -153,8 +155,7 @@ def _cmd_run(args, cfg: ExploreConfig) -> int:
 
 
 def _cmd_replay(args, cfg: ExploreConfig) -> int:
-    entries = {e.name: e for e in register_corpus()}
-    entry = entries.get(args.proof)
+    entry = corpus_by_name().get(args.proof)
     if entry is None:
         print(f"unknown proof {args.proof!r}", file=sys.stderr)
         return 2

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from . import speclib as sl
 from .awsport import (
+    ALLOCATOR_TAG,
     ArrayList,
     ByteBuf,
     LIST_SIZE,
@@ -78,6 +79,7 @@ from .awsport import (
 )
 from .engine import (
     AssertionSite,
+    EXHAUSTIVE,
     ChoiceTape,
     ExploreConfig,
     RunContext,
@@ -244,7 +246,7 @@ def _proof_assert_bytes_match_empty(ctx: RunContext):
     buf.len = n
     buf.capacity = n
     buf.buffer = sl.can_fail_malloc(ctx, n)
-    buf.set_allocator()
+    buf.allocator = ALLOCATOR_TAG
     ctx.assume(byte_buf_is_valid(ctx, bufp, FIXED))
     if n:
         ctx.heap.write(buf.buffer, ctx.heap.read(strbytes, n))
@@ -292,7 +294,7 @@ def _proof_pq_s_swap(ctx: RunContext):
     data = ctx.heap.alloc(total)
     ctx.heap.havoc(data, total)
     lst.data = data
-    lst.set_allocator()
+    lst.allocator = ALLOCATOR_TAG
     a = sl.nd_size_t(ctx)
     ctx.assume(a < length)
     b = sl.nd_size_t(ctx)
@@ -683,7 +685,7 @@ def run_matrix(base_cfg: ExploreConfig,
         ce = CELL_DETECTED if result.report.verdict.is_fail else CELL_MISSED
         if result.report.verdict.is_fail:
             vac_cell = CELL_NA  # exploration short-circuited; no vacuity claim
-        elif result.report.backend != "exhaustive":
+        elif result.report.backend != EXHAUSTIVE:
             vac_cell = CELL_NA
         else:
             vac_cell = CELL_DETECTED if result.vacuity.vacuous_groups else CELL_MISSED

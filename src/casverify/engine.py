@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -428,7 +429,9 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
     random and replay runs all start from the same prefix.  The loop ends
     at the first failing run, when the tape tree is exhausted, or after
     `max_runs` runs.  Every run except a pruned one adds its assertion
-    hits, a run cut off by max_choices_per_path included."""
+    hits, a run cut off by max_choices_per_path included.  Any exception a
+    proof raises, other than a tape mismatch, fails its run with that run's
+    tape, so it replays like any other counterexample."""
     t0 = time.perf_counter()
     hits = {s.site_id: 0 for s in declared}
     explored = pruned = truncated = depth = 0
@@ -452,6 +455,12 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
             failure = Verdict(VERDICT_FAIL, fault=e.fault, message=str(e))
         except UsageError as e:
             failure = Verdict(VERDICT_FAIL, message=f"framework usage error: {e}")
+        except ReplayMismatchError:
+            raise
+        except Exception as e:
+            if trace is not None:
+                trace.extend(traceback.format_exc().splitlines())
+            failure = Verdict(VERDICT_FAIL, message=f"proof raised {type(e).__name__}: {e}")
         depth = max(depth, len(ctx.taken))
         for sid, n in ctx.hits.items():
             hits[sid] = hits.get(sid, 0) + n

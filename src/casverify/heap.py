@@ -43,10 +43,6 @@ class Pointer(NamedTuple):
     token: str = ""
 
     @staticmethod
-    def null() -> "Pointer":
-        return NULL_PTR
-
-    @staticmethod
     def valid(alloc_id: int, offset: int = 0) -> "Pointer":
         return _new_ptr(Pointer, (_VALID, alloc_id, offset, ""))
 
@@ -298,8 +294,11 @@ class Heap:
         return bytes(a.data[lo:hi])
 
     def write(self, p: Pointer, data: Iterable[int] | bytes, loc: str = "write"):
+        self._store(p, bytes(data), TAG_U8, loc)
+
+    def _store(self, p: Pointer, buf: bytes, tag: int, loc: str):
+        """Write `buf` at `p` in one write epoch, tagging every byte `tag`."""
         self._check_latch()
-        buf = bytes(data)
         if len(buf) == 0:
             self._zero_len_gate(p, loc)
             return
@@ -311,7 +310,7 @@ class Heap:
             a.data[i] = v
             a.state[i] = _INIT
             a.epochs[i] = self.global_epoch
-            a.tags[i] = TAG_U8
+            a.tags[i] = tag
 
     def havoc(self, p: Pointer, length: int, loc: str = "havoc"):
         """Fill a region with nondeterministic content (drawn lazily on
@@ -361,10 +360,7 @@ class Heap:
         return int.from_bytes(self.read(p, 8, loc), "little")
 
     def typed_write_u64(self, p: Pointer, value: int, loc: str = "typed_write_u64"):
-        self.write(p, (value & U64_MASK).to_bytes(8, "little"), loc)
-        a = self.allocations[p.alloc_id]
-        for i in range(p.offset, p.offset + 8):
-            a.tags[i] = TAG_U64
+        self._store(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U64, loc)
 
     # -- scalar / pointer field helpers ------------------------------------
 
@@ -373,7 +369,7 @@ class Heap:
         return int.from_bytes(self.read(p, 8, loc), "little")
 
     def write_u64(self, p: Pointer, value: int, loc: str = "write_u64"):
-        self.write(p, (value & U64_MASK).to_bytes(8, "little"), loc)
+        self._store(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc)
 
     def write_ptr(self, p: Pointer, value: Pointer, loc: str = "write_ptr"):
         """Store a pointer value as 8 little-endian bytes of an interned
@@ -387,10 +383,7 @@ class Heap:
                 self._next_handle += 1
                 self._handle_by_ptr[value] = handle
                 self._ptr_by_handle[handle] = value
-        self.write(p, handle.to_bytes(8, "little"), loc)
-        a = self.allocations[p.alloc_id]
-        for i in range(p.offset, p.offset + 8):
-            a.tags[i] = TAG_PTR
+        self._store(p, handle.to_bytes(8, "little"), TAG_PTR, loc)
 
     def read_ptr(self, p: Pointer, loc: str = "read_ptr") -> Pointer:
         """Decode 8 bytes as a pointer.

@@ -11,7 +11,8 @@ from dataclasses import asdict
 
 from .corpus import CaseResult, DetectionMatrix
 from .engine import ExploreConfig, RunReport
-from .vacuity import VacuityReport
+from .vacuity import (STATUS_BUDGET, STATUS_FAIL, STATUS_PASS,
+                      STATUS_PASS_BUT_VACUOUS, VacuityReport)
 
 SCHEMA_VERSION = 2
 
@@ -95,10 +96,11 @@ def build_document(command: str, cfg: ExploreConfig, results: list[CaseResult],
                    matrix: DetectionMatrix | None = None) -> dict:
     summary = {
         "total": len(results),
-        "passed": sum(1 for r in results if r.status == "pass"),
-        "failed": sum(1 for r in results if r.status == "fail"),
-        "pass_but_vacuous": sum(1 for r in results if r.status == "pass_but_vacuous"),
-        "budget_exhausted": sum(1 for r in results if r.status == "budget_exhausted"),
+        "passed": sum(1 for r in results if r.status == STATUS_PASS),
+        "failed": sum(1 for r in results if r.status == STATUS_FAIL),
+        "pass_but_vacuous": sum(1 for r in results
+                                if r.status == STATUS_PASS_BUT_VACUOUS),
+        "budget_exhausted": sum(1 for r in results if r.status == STATUS_BUDGET),
         "expected_mismatches": sorted(
             f"{r.entry.name}[{r.case.label}]: {r.detail}"
             for r in results if not r.matched),

@@ -1,8 +1,7 @@
 """Verification library: the primitives unit proofs are written against.
 
 Nondet constructors (`nd_*`), memory helpers (`memhavoc`,
-`can_fail_malloc`), the assume/assert entry points wired to the engine and
-the vacuity registry, and helpers that exist in both fixed and buggy
+`can_fail_malloc`), and helpers that exist in both fixed and buggy
 variants for the seeded-bug corpus.
 
 Variant selection is run configuration, not separate code copies: a helper
@@ -62,16 +61,6 @@ def nd_voidp(ctx: RunContext) -> Pointer:
         ctx.choice(Domain.wild_token())
         return ctx.fresh_wild()
     return NULL_PTR
-
-
-# -- assume / assert ---------------------------------------------------------
-
-def assume(ctx: RunContext, cond) -> None:
-    ctx.assume(cond)
-
-
-def sassert(ctx: RunContext, site, cond) -> None:
-    ctx.sassert(site, cond)
 
 
 # -- memory helpers -----------------------------------------------------------

@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .engine import EXHAUSTIVE, AssertionSite, RunReport
+from .engine import (EXHAUSTIVE, VERDICT_BUDGET, VERDICT_FAIL, VERDICT_PASS,
+                     AssertionSite, RunReport)
 
-STATUS_PASS = "pass"
+STATUS_PASS = VERDICT_PASS
 STATUS_PASS_BUT_VACUOUS = "pass_but_vacuous"
-STATUS_FAIL = "fail"
-STATUS_BUDGET = "budget_exhausted"
+STATUS_FAIL = VERDICT_FAIL
+STATUS_BUDGET = VERDICT_BUDGET
 
 
 class VacuityFrameworkError(Exception):
@@ -84,7 +85,7 @@ def overall_status(report: RunReport, vac: VacuityReport | None = None) -> str:
     fully-unreached assert group is surfaced as its own status."""
     if report.verdict.is_fail:
         return STATUS_FAIL
-    if report.verdict.status == "budget_exhausted":
+    if report.verdict.status == VERDICT_BUDGET:
         return STATUS_BUDGET
     if vac is not None and vac.vacuous_groups:
         return STATUS_PASS_BUT_VACUOUS

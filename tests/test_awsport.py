@@ -4,8 +4,11 @@ import pytest
 
 from casverify import speclib as sl
 from casverify.awsport import (
+    ALLOCATOR_TAG,
     ArrayList,
+    AwsString,
     ByteBuf,
+    HashEntry,
     HashIter,
     HashState,
     IterDecision,
@@ -13,9 +16,7 @@ from casverify.awsport import (
     NODE_SIZE,
     OP_ERROR,
     OP_SUCCESS,
-    STATE_SIZE,
-    ENTRY_SIZE,
-    STRING_SIZE,
+    Record,
     StubShape,
     add_overflow_predicate,
     add_u64_checked,
@@ -63,8 +64,27 @@ def make_buf(ctx, cap, length, buffer):
     b.capacity = cap
     b.len = length
     b.buffer = buffer
-    b.set_allocator()
+    b.allocator = ALLOCATOR_TAG
     return bufp
+
+
+# -- record layouts ---------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", Record.__subclasses__(), ids=lambda c: c.__name__)
+def test_record_fields_lie_inside_size_and_do_not_overlap(cls):
+    ctx = standalone_context()
+    rec = cls(ctx, ctx.heap.alloc(cls.SIZE))  # a field past SIZE faults
+    fields = {n: f for n, f in vars(cls).items() if isinstance(f, property)}
+    assert fields
+    covered = set()
+    for name, field in fields.items():
+        value = ctx.heap.alloc(1) if field.__doc__.startswith("pointer") else U64_MAX
+        ctx.heap.tracking_on()
+        setattr(rec, name, value)
+        assert getattr(rec, name) == value
+        touched = {i for i in range(cls.SIZE) if ctx.heap.is_mod(rec.ptr.add(i), 1)}
+        assert len(touched) == 8 and not touched & covered, name
+        covered |= touched
 
 
 # -- byte_buf -------------------------------------------------------------------
@@ -142,7 +162,7 @@ def make_list(ctx, item_size, length, data=None):
     if data is None:
         data = ctx.heap.alloc(max(item_size * length, 1))
     lst.data = data
-    lst.set_allocator()
+    lst.allocator = ALLOCATOR_TAG
     return listp
 
 
@@ -245,17 +265,16 @@ def test_checked_arithmetic_matches_exact_oracle():
 # -- hash table --------------------------------------------------------------------------
 
 def make_table(ctx, hashes, entry_count):
-    statep = ctx.heap.alloc(STATE_SIZE)
-    slots = ctx.heap.alloc(len(hashes) * ENTRY_SIZE)
+    st = HashState(ctx, ctx.heap.alloc(HashState.SIZE))
+    st.entry_count = entry_count
+    st.num_slots = len(hashes)
+    st.slots = ctx.heap.alloc(len(hashes) * HashEntry.SIZE)
     for i, code in enumerate(hashes):
-        entry = slots.add(i * ENTRY_SIZE)
-        ctx.heap.write_u64(entry, code)
-        ctx.heap.write_ptr(entry.add(8), NULL_PTR)
-        ctx.heap.write_ptr(entry.add(16), NULL_PTR)
-    ctx.heap.write_u64(statep.add(0), entry_count)
-    ctx.heap.write_u64(statep.add(8), len(hashes))
-    ctx.heap.write_ptr(statep.add(16), slots)
-    return statep
+        entry = HashEntry(ctx, st.entry(i))
+        entry.hash_code = code
+        entry.key = NULL_PTR
+        entry.value = NULL_PTR
+    return st.ptr
 
 
 def test_hash_iter_delete_fixed_vs_buggy(ctx):
@@ -307,12 +326,11 @@ def test_foreach_delete_all_enumerated_two_slot_tables():
 # -- strings -----------------------------------------------------------------------------
 
 def make_string(ctx, content: bytes):
-    sp = ctx.heap.alloc(STRING_SIZE)
-    storage = ctx.heap.alloc(len(content) + 1)
-    ctx.heap.write(storage, content + b"\x00")
-    ctx.heap.write_u64(sp.add(0), len(content))
-    ctx.heap.write_ptr(sp.add(8), storage)
-    return sp
+    s = AwsString(ctx, ctx.heap.alloc(AwsString.SIZE))
+    s.len = len(content)
+    s.bytes = ctx.heap.alloc(len(content) + 1)
+    ctx.heap.write(s.bytes, content + b"\x00")
+    return s.ptr
 
 
 def test_string_eq_equal_and_unequal(ctx):
@@ -326,11 +344,11 @@ def test_string_eq_equal_and_unequal(ctx):
 
 
 def test_string_eq_faults_when_len_exceeds_storage(ctx):
-    sp = ctx.heap.alloc(STRING_SIZE)
-    storage = ctx.heap.alloc(1)
-    ctx.heap.write(storage, b"a")
-    ctx.heap.write_u64(sp.add(0), 3)  # claims 3 bytes, storage holds 1
-    ctx.heap.write_ptr(sp.add(8), storage)
+    s = AwsString(ctx, ctx.heap.alloc(AwsString.SIZE))
+    s.len = 3  # claims 3 bytes, storage holds 1
+    s.bytes = ctx.heap.alloc(1)
+    ctx.heap.write(s.bytes, b"a")
+    sp = s.ptr
     other = make_string(ctx, b"abc")  # matching first byte reaches the overrun
     assert c_string_is_valid(ctx, sp)          # the weak invariant accepts it
     assert not aws_string_is_valid(ctx, sp)    # the strong one does not

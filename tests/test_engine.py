@@ -10,6 +10,7 @@ from casverify.engine import (
     KIND_U8,
     KIND_U64,
     KIND_WILD,
+    EXHAUSTIVE,
     RANDOM,
     AssertionSite,
     ChoiceTape,
@@ -389,6 +390,21 @@ def test_framework_usage_error_is_distinguished_fail():
     assert report.verdict.is_fail
     assert report.verdict.fault is None
     assert report.verdict.message.startswith("framework usage error")
+
+
+@pytest.mark.parametrize("backend", [EXHAUSTIVE, RANDOM])
+def test_proof_exception_is_replayable_fail(backend):
+    def proof(ctx):
+        ctx.heap.alloc(sl.nd_size_t(ctx) - 1)  # negative size at 0
+
+    cfg = exh(backend=backend)
+    verdict = explore(proof, cfg).verdict
+    assert verdict.is_fail and verdict.fault is None and verdict.failed_site is None
+    assert verdict.message == "proof raised ValueError: negative allocation size"
+    assert verdict.tape == ChoiceTape((TapeEntry(KIND_SIZET, 0),))
+    trace = []
+    assert replay(proof, verdict.tape, cfg, trace=trace).verdict == verdict
+    assert trace[-1] == "ValueError: negative allocation size"  # the traceback
 
 
 # -- domains and tapes ----------------------------------------------------------------------

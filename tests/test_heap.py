@@ -516,7 +516,7 @@ def test_pointer_value_semantics():
     assert p == q and hash(p) == hash(q) and p is not q
     assert p != Pointer.valid(3, 1) and p != Pointer.valid(4, 2)
     assert Pointer.wild("t") == Pointer.wild("t") != Pointer.wild("u")
-    assert NULL_PTR == Pointer.null() == Pointer(PtrKind.NULL) == NULL_PTR.add(0)
+    assert NULL_PTR == Pointer(PtrKind.NULL) == NULL_PTR.add(0)
     assert {p: "p"}[q] == "p"
     assert len({NULL_PTR, p, q, Pointer.wild("t"), Pointer.wild("t")}) == 3
 

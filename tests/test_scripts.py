@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts with tiny budgets, so that a change
 to the report fields they read cannot break them unnoticed."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +25,15 @@ def test_script_runs(script, args):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "bug1" in proc.stdout
+
+
+def test_report_digest_smoke(monkeypatch):
+    monkeypatch.delenv("CAS_SEED", raising=False)
+    spec = importlib.util.spec_from_file_location(
+        "report_digest", ROOT / "scripts" / "report_digest.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    lines = mod.report_digests([2], [0])
+    assert [label for label, _ in lines] == [
+        "run --check-expected --max-bound 2", "matrix --backend random --seed 0"]
+    assert all(len(sha) == 64 and int(sha, 16) >= 0 for _, sha in lines)
