@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .engine import Domain, RunContext, U64_MAX
-from .heap import NULL_PTR, Pointer
+from .heap import NULL_PTR, Pointer, PtrKind
 from . import speclib as sl
 from .speclib import BUGGY, FIXED, VariantFlag, resolve_variant
 
@@ -31,26 +31,52 @@ ALLOCATOR_TAG = 0xA110C
 class Record:
     """View over one heap-resident struct at `ptr`.  A subclass declares
     its layout once: `SIZE` plus one field per member, built by `u64_field`
-    or `ptr_field` at the member's offset."""
+    or `ptr_field` at the member's offset.  A record keeps only the run's
+    heap, which every field access goes through."""
 
     def __init__(self, ctx: RunContext, ptr: Pointer):
-        self.ctx = ctx
+        self.heap = ctx.heap
         self.ptr = ptr
+
+
+# Field accessors build the member pointer of a valid base inline, as
+# `Pointer.add` builds it, and send any other base through `add`, so a null
+# or wild base faults with the same message.
+_VALID = PtrKind.VALID
+_new_ptr = tuple.__new__
 
 
 def u64_field(off: int) -> property:
     """Untyped 8-byte unsigned member at `off`.  Stores wrap modulo 2**64,
     so decrementing a zero counter yields U64_MAX."""
-    return property(lambda rec: rec.ctx.heap.read_u64(rec.ptr.add(off)),
-                    lambda rec, v: rec.ctx.heap.write_u64(rec.ptr.add(off), v),
-                    doc=f"u64 at offset {off}")
+
+    def get(rec):
+        kind, alloc_id, offset, _ = p = rec.ptr
+        return rec.heap.read_u64(_new_ptr(Pointer, (_VALID, alloc_id, offset + off, ""))
+                                 if kind is _VALID else p.add(off))
+
+    def set_(rec, value):
+        kind, alloc_id, offset, _ = p = rec.ptr
+        rec.heap.write_u64(_new_ptr(Pointer, (_VALID, alloc_id, offset + off, ""))
+                           if kind is _VALID else p.add(off), value)
+
+    return property(get, set_, doc=f"u64 at offset {off}")
 
 
 def ptr_field(off: int) -> property:
     """Pointer member at `off`, stored in the heap's pointer encoding."""
-    return property(lambda rec: rec.ctx.heap.read_ptr(rec.ptr.add(off)),
-                    lambda rec, v: rec.ctx.heap.write_ptr(rec.ptr.add(off), v),
-                    doc=f"pointer at offset {off}")
+
+    def get(rec):
+        kind, alloc_id, offset, _ = p = rec.ptr
+        return rec.heap.read_ptr(_new_ptr(Pointer, (_VALID, alloc_id, offset + off, ""))
+                                 if kind is _VALID else p.add(off))
+
+    def set_(rec, value):
+        kind, alloc_id, offset, _ = p = rec.ptr
+        rec.heap.write_ptr(_new_ptr(Pointer, (_VALID, alloc_id, offset + off, ""))
+                           if kind is _VALID else p.add(off), value)
+
+    return property(get, set_, doc=f"pointer at offset {off}")
 
 
 # =========================================================================
@@ -406,7 +432,7 @@ class HashState(Record):
         return self.slots.add(i * HashEntry.SIZE)
 
     def entry_hash(self, i: int) -> int:
-        return self.ctx.heap.read_u64(self.entry(i))
+        return self.heap.read_u64(self.entry(i))
 
 
 def nd_init_hash_table(ctx: RunContext, num_slots: int) -> Pointer:

@@ -7,7 +7,7 @@
 
 Exit codes: 0 all verdicts as required, 1 verdict failure or expectation
 mismatch, 2 usage error (bad flags or configuration, no proofs matched,
-unreadable tape).
+unreadable tape, unwritable output path).
 The CAS_SEED environment variable overrides --seed.
 """
 
@@ -121,6 +121,22 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _save_tapes(directory: str, results) -> None:
+    os.makedirs(directory, exist_ok=True)
+    for r in results:
+        if r.tape is not None:
+            path = os.path.join(directory, f"{r.entry.name}.{r.case.label}.tape")
+            with open(path, "w") as fh:
+                fh.write(r.tape.to_text())
+
+
+def _cannot_write(e: OSError) -> int:
+    """Usage-error exit for an output path that cannot be written."""
+    print(f"verify: cannot write {e.filename or 'output'}: {e.strerror or e}",
+          file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args, cfg: ExploreConfig) -> int:
     entries = _select(args.proofs)
     if not entries:
@@ -132,19 +148,15 @@ def _cmd_run(args, cfg: ExploreConfig) -> int:
         tasks = [(e, e.free_case(args.variant)) for e in entries]
     results = [run_case(e, c, cfg) for e, c in tasks]
 
-    if args.save_tapes:
-        os.makedirs(args.save_tapes, exist_ok=True)
-        for r in results:
-            if r.tape is not None:
-                path = os.path.join(args.save_tapes,
-                                    f"{r.entry.name}.{r.case.label}.tape")
-                with open(path, "w") as fh:
-                    fh.write(r.tape.to_text())
-
     doc = report_mod.build_document("run", cfg, results)
     text = report_mod.to_json(doc) if args.report == "json" \
         else report_mod.to_markdown(doc)
-    _emit(args, text)
+    try:
+        if args.save_tapes:
+            _save_tapes(args.save_tapes, results)
+        _emit(args, text)
+    except OSError as e:
+        return _cannot_write(e)
 
     if args.check_expected:
         return 0 if all(r.matched for r in results) else 1
@@ -190,10 +202,13 @@ def _cmd_matrix(args, cfg: ExploreConfig) -> int:
     matrix = run_matrix(cfg, entries)
     doc = report_mod.build_document("matrix", cfg, matrix.results, matrix=matrix)
     if args.report == "json":
-        _emit(args, report_mod.to_json(doc))
+        text = report_mod.to_json(doc)
     else:
-        _emit(args, "\n".join(
-            report_mod.matrix_markdown_lines(doc["matrix"])) + "\n")
+        text = "\n".join(report_mod.matrix_markdown_lines(doc["matrix"])) + "\n"
+    try:
+        _emit(args, text)
+    except OSError as e:
+        return _cannot_write(e)
     if args.output:
         # keep the table visible even when the document went to a file
         print("\n".join(report_mod.matrix_markdown_lines(doc["matrix"])))

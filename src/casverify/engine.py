@@ -33,7 +33,7 @@ import random
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .heap import Fault, Heap, HeapConfig, MemoryFaultError, Pointer, UsageError
 
@@ -98,8 +98,7 @@ _BOOLS = Domain(KIND_BOOL, (False, True))
 _WILD_TOKEN = Domain(KIND_WILD, (0,))
 
 
-@dataclass(frozen=True)
-class TapeEntry:
+class TapeEntry(NamedTuple):
     kind: str
     index: int
 
@@ -309,12 +308,10 @@ class RunContext:
         self.sizes: list[int] = []
         self.hits: dict[str, int] = {}
         self._wild_count = 0
-        self.heap = Heap(cfg.heap, byte_source=self._draw_byte)
+        # Havocked bytes are drawn from the configured byte domain.
+        self.heap = Heap(cfg.heap, byte_source=functools.partial(self.choice, cfg.byte_dom))
 
     # -- draws --------------------------------------------------------------
-
-    def _draw_byte(self) -> int:
-        return self.choice(self.cfg.byte_dom)
 
     def choice(self, domain: Domain):
         pos = len(self.taken)

@@ -17,7 +17,7 @@ read, so path counts stay proportional to the bytes a proof inspects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
@@ -26,6 +26,11 @@ class PtrKind(Enum):
     NULL = "null"
     VALID = "valid"
     WILD = "wild"
+
+    # Members are singletons, so identity hashing is consistent with
+    # equality and keeps pointer hashing in C.  No code iterates a set or
+    # dict of pointers in hash order.
+    __hash__ = object.__hash__
 
 
 class Pointer(NamedTuple):
@@ -131,23 +136,25 @@ _UNINIT, _INIT, _HAVOC = 0, 1, 2
 # Effective-type tags (recorded per byte, checked only when enabled).
 TAG_NONE, TAG_U8, TAG_U64, TAG_PTR = 0, 1, 2, 3
 
+# `_FILL8[v]` is eight bytes of value `v`, for 8-byte state and tag stores.
+_FILL8 = tuple(bytes((v,)) * 8 for v in range(4))
+# `_BYTE[v]` is the 1-byte string of value `v`.
+_BYTE = tuple(bytes((v,)) for v in range(256))
 
-@dataclass
+
 class Allocation:
-    id: int
-    size: int
-    freed: bool = False
-    data: bytearray = field(default_factory=bytearray)
-    state: bytearray = field(default_factory=bytearray)
-    epochs: list = field(default_factory=list)
-    tags: bytearray = field(default_factory=bytearray)
+    """One allocation's bytes, per-byte state, write epochs and tags."""
 
-    def __post_init__(self):
-        if not self.data:
-            self.data = bytearray(self.size)
-            self.state = bytearray(self.size)  # all _UNINIT
-            self.epochs = [0] * self.size
-            self.tags = bytearray(self.size)  # all TAG_NONE
+    __slots__ = ("id", "size", "freed", "data", "state", "epochs", "tags")
+
+    def __init__(self, id: int, size: int):
+        self.id = id
+        self.size = size
+        self.freed = False
+        self.data = bytearray(size)
+        self.state = bytearray(size)  # all _UNINIT
+        self.epochs = [0] * size
+        self.tags = bytearray(size)  # all TAG_NONE
 
 
 class Heap:
@@ -186,7 +193,7 @@ class Heap:
             raise ValueError("negative allocation size")
         if size == 0 and self.config.zero_alloc_returns_null:
             return NULL_PTR
-        a = Allocation(id=self._next_id, size=size)
+        a = Allocation(self._next_id, size)
         self._next_id += 1
         self.allocations[a.id] = a
         return Pointer.valid(a.id, 0)
@@ -208,7 +215,9 @@ class Heap:
     # -- access checking --------------------------------------------------
 
     def _checked_alloc(self, p: Pointer, length: int, loc: str) -> Allocation:
-        """Validity gate shared by read/write/havoc; length > 0 here."""
+        """Validity gate shared by read/write/havoc; length > 0 here.  The
+        fast paths test validity inline and call this only when the test
+        fails, so every validity fault is raised and worded here."""
         kind, alloc_id, offset, _ = p
         if kind is not _VALID:
             if kind is _NULL:
@@ -271,27 +280,48 @@ class Heap:
         a.state[i] = _INIT  # epoch unchanged: content was written at havoc time
 
     def read(self, p: Pointer, length: int, loc: str = "read") -> bytes:
-        self._check_latch()
-        if length < 0:
+        if self.fault is not None:
+            raise MemoryFaultError(self.fault)
+        kind, alloc_id, lo, _ = p
+        if kind is _VALID and length > 0:
+            a = self.allocations.get(alloc_id)
+            hi = lo + length
+            if a is None or a.freed or lo < 0 or hi > a.size:
+                a = self._checked_alloc(p, length, loc)
+        elif length < 0:
             raise ValueError("negative read length")
-        if length == 0:
+        elif length == 0:
             self._zero_len_gate(p, loc)
             return b""
-        a = self._checked_alloc(p, length, loc)
-        lo = p.offset
-        hi = lo + length
-        # Fast path: a range of written or already materialized bytes is
-        # copied as it is.  Otherwise havocked bytes are drawn in ascending
-        # order and the first uninitialized byte faults.
-        if a.state.count(_INIT, lo, hi) != length:
-            for i in range(lo, hi):
-                s = a.state[i]
-                if s == _HAVOC:
-                    self._materialize(a, i, loc)
-                elif s == _UNINIT and self.config.uninit_read_is_fault:
-                    self._raise_fault(FaultKind.UNINIT_READ, loc,
-                                      f"byte {i} of allocation {a.id} read before any write")
+        else:
+            a = self._checked_alloc(p, length, loc)
+        state = a.state
+        if length == 1:
+            s = state[lo]
+            if s == _INIT:
+                return _BYTE[a.data[lo]]
+            if s == _HAVOC and self.byte_source is not None:
+                v = self.byte_source() & 0xFF
+                a.data[lo] = v
+                state[lo] = _INIT  # epoch unchanged, as in _materialize
+                return _BYTE[v]
+        elif state.count(_INIT, lo, hi) == length:
+            # written or already materialized bytes are copied as they are
+            return bytes(a.data[lo:hi])
+        # Havocked bytes are drawn in ascending order and the first
+        # uninitialized byte faults.
+        for i in range(lo, hi):
+            s = state[i]
+            if s == _HAVOC:
+                self._materialize(a, i, loc)
+            elif s == _UNINIT and self.config.uninit_read_is_fault:
+                self._raise_fault(FaultKind.UNINIT_READ, loc,
+                                  f"byte {i} of allocation {a.id} read before any write")
         return bytes(a.data[lo:hi])
+
+    # The generic `write` and `havoc` keep their per-byte loops: slice
+    # stores make wide-write workloads run more passes per benchmark window,
+    # and the benchmark's peak RSS grows with the pass count.
 
     def write(self, p: Pointer, data: Iterable[int] | bytes, loc: str = "write"):
         self._store(p, bytes(data), TAG_U8, loc)
@@ -311,6 +341,21 @@ class Heap:
             a.state[i] = _INIT
             a.epochs[i] = self.global_epoch
             a.tags[i] = tag
+
+    def _store8(self, p: Pointer, buf: bytes, tag: int, loc: str):
+        """`_store` of exactly 8 bytes, as slice assignments."""
+        if self.fault is not None:
+            raise MemoryFaultError(self.fault)
+        kind, alloc_id, lo, _ = p
+        a = self.allocations.get(alloc_id) if kind is _VALID else None
+        hi = lo + 8
+        if a is None or a.freed or lo < 0 or hi > a.size:
+            a = self._checked_alloc(p, 8, loc)
+        self.global_epoch = epoch = self.global_epoch + 1
+        a.data[lo:hi] = buf
+        a.state[lo:hi] = _FILL8[_INIT]
+        a.epochs[lo:hi] = (epoch,) * 8
+        a.tags[lo:hi] = _FILL8[tag]
 
     def havoc(self, p: Pointer, length: int, loc: str = "havoc"):
         """Fill a region with nondeterministic content (drawn lazily on
@@ -360,16 +405,23 @@ class Heap:
         return int.from_bytes(self.read(p, 8, loc), "little")
 
     def typed_write_u64(self, p: Pointer, value: int, loc: str = "typed_write_u64"):
-        self._store(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U64, loc)
+        self._store8(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U64, loc)
 
     # -- scalar / pointer field helpers ------------------------------------
 
     def read_u64(self, p: Pointer, loc: str = "read_u64") -> int:
         """Untyped little-endian 8-byte read (no effective-type check)."""
+        # Eight written bytes of a live allocation decode in place; anything
+        # else goes through `read`, which draws, faults or re-raises.
+        kind, alloc_id, lo, _ = p
+        a = self.allocations.get(alloc_id) if kind is _VALID else None
+        if (a is not None and self.fault is None and not a.freed
+                and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
+            return int.from_bytes(a.data[lo:lo + 8], "little")
         return int.from_bytes(self.read(p, 8, loc), "little")
 
     def write_u64(self, p: Pointer, value: int, loc: str = "write_u64"):
-        self._store(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc)
+        self._store8(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc)
 
     def write_ptr(self, p: Pointer, value: Pointer, loc: str = "write_ptr"):
         """Store a pointer value as 8 little-endian bytes of an interned
@@ -383,7 +435,7 @@ class Heap:
                 self._next_handle += 1
                 self._handle_by_ptr[value] = handle
                 self._ptr_by_handle[handle] = value
-        self._store(p, handle.to_bytes(8, "little"), TAG_PTR, loc)
+        self._store8(p, handle.to_bytes(8, "little"), TAG_PTR, loc)
 
     def read_ptr(self, p: Pointer, loc: str = "read_ptr") -> Pointer:
         """Decode 8 bytes as a pointer.
@@ -394,11 +446,16 @@ class Heap:
         scribbled, byte-copied or partly overwritten storage, yields a wild
         pointer, so a later dereference faults instead of silently
         aliasing a live allocation."""
-        raw = int.from_bytes(self.read(p, 8, loc), "little")
+        kind, alloc_id, lo, _ = p
+        a = self.allocations.get(alloc_id) if kind is _VALID else None
+        if (a is not None and self.fault is None and not a.freed
+                and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
+            raw = int.from_bytes(a.data[lo:lo + 8], "little")
+        else:
+            raw = int.from_bytes(self.read(p, 8, loc), "little")
+            a = self.allocations[alloc_id]
         if raw == 0:
             return NULL_PTR
-        a = self.allocations[p.alloc_id]
-        lo = p.offset
         if (a.tags.count(TAG_PTR, lo, lo + 8) == 8
                 and a.epochs[lo:lo + 8].count(a.epochs[lo]) == 8):
             return self._ptr_by_handle[raw]

@@ -11,6 +11,7 @@ passes one explicitly, which keeps fixed/buggy pairs structurally aligned.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 from .engine import AssertionSite, Domain, RunContext
@@ -85,10 +86,12 @@ def can_fail_malloc(ctx: RunContext, size: int) -> Pointer:
 
 # -- byte comparison helper (fixed and buggy) ---------------------------------
 
+@functools.lru_cache(maxsize=64)
 def bytes_match_sites(label: str = "assert_bytes_match") -> tuple[AssertionSite, AssertionSite]:
     """Assertion sites registered by assert_bytes_match under `label`.
     Distinct call sites get distinct site ids but share group keys, which is
-    what lets vacuity treat them as duplicates."""
+    what lets vacuity treat them as duplicates.  Sites are immutable, so
+    each label's pair is built once."""
     return (
         AssertionSite(f"{label}:null_eq", group_key="assert_bytes_match:null_eq",
                       description="regions agree on being null"),

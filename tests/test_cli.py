@@ -171,3 +171,20 @@ def test_bad_config_exit_2(flags, env, tmp_path, monkeypatch, capsys):
                     ["replay", "is_mem_zeroed", str(tape)]):
         assert run_cli(*command, *flags) == 2
         assert "bad configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--proofs", "byte_buf_invariant", "--max-bound", "2", "-o", "{blocked}/out.json"],
+    ["run", "--proofs", "byte_buf_invariant", "--variant", "buggy", "--max-bound", "2",
+     "--save-tapes", "{blocked}/tapes", "-o", "{tmp}/r.json"],
+    ["matrix", "--proofs", "byte_buf_invariant", "--max-bound", "2", "--report", "json",
+     "-o", "{blocked}/m.json"],
+], ids=["run_output", "run_save_tapes", "matrix_output"])
+def test_unwritable_output_path_exit_2(argv, tmp_path, capsys):
+    blocked = tmp_path / "regular_file"
+    blocked.write_text("")
+    argv = [a.format(blocked=blocked, tmp=tmp_path) for a in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"verify: cannot write {blocked}/")
+    assert "Traceback" not in err

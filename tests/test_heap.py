@@ -1,16 +1,24 @@
 import functools
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from casverify import speclib as sl
+from casverify.awsport import Record, ptr_field, u64_field
 from casverify.engine import ChoiceTape, ExploreConfig, explore, replay
 from casverify.heap import (
     _HAVOC,
     _INIT,
     _UNINIT,
     NULL_PTR,
+    TAG_NONE,
+    TAG_PTR,
+    TAG_U8,
+    TAG_U64,
+    U64_MASK,
+    Fault,
     FaultKind,
     Heap,
     HeapConfig,
@@ -489,6 +497,206 @@ def test_read_ptr_of_zero_bytes_is_null():
     assert h.read_ptr(table.add(8)) is NULL_PTR
     h.havoc(table.add(8), 8)
     assert h.read_ptr(table.add(8)) is NULL_PTR
+
+
+# -- fused accessors against the per-byte reference ------------------------------
+
+def ref_read(h: Heap, p: Pointer, length: int, loc: str) -> bytes:
+    """`Heap.read` as the per-byte loop behind `_checked_alloc`."""
+    h._check_latch()
+    if length < 0:
+        raise ValueError("negative read length")
+    if length == 0:
+        h._zero_len_gate(p, loc)
+        return b""
+    a = h._checked_alloc(p, length, loc)
+    for i in range(p.offset, p.offset + length):
+        if a.state[i] == _HAVOC:
+            h._materialize(a, i, loc)
+        elif a.state[i] == _UNINIT and h.config.uninit_read_is_fault:
+            h._raise_fault(FaultKind.UNINIT_READ, loc,
+                           f"byte {i} of allocation {a.id} read before any write")
+    return bytes(a.data[p.offset:p.offset + length])
+
+
+def ref_read_u64(h: Heap, p: Pointer, loc: str = "read_u64") -> int:
+    return int.from_bytes(ref_read(h, p, 8, loc), "little")
+
+
+def ref_read_ptr(h: Heap, p: Pointer, loc: str = "read_ptr") -> Pointer:
+    raw = ref_read_u64(h, p, loc)
+    if raw == 0:
+        return NULL_PTR
+    a = h.allocations[p.alloc_id]
+    span = range(p.offset, p.offset + 8)
+    if all(a.tags[i] == TAG_PTR for i in span) and len({a.epochs[i] for i in span}) == 1:
+        return h._ptr_by_handle[raw]
+    return Pointer.wild(f"bits:{raw:#x}")
+
+
+def ref_store(h: Heap, p: Pointer, buf: bytes, tag: int, loc: str):
+    h._check_latch()
+    a = h._checked_alloc(p, len(buf), loc)
+    h.global_epoch += 1
+    for j, v in enumerate(buf):
+        i = p.offset + j
+        a.data[i], a.state[i], a.epochs[i], a.tags[i] = v, _INIT, h.global_epoch, tag
+
+
+def ref_write_u64(h: Heap, p: Pointer, value: int, loc: str = "write_u64"):
+    ref_store(h, p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc)
+
+
+def ref_write_ptr(h: Heap, p: Pointer, value: Pointer, loc: str = "write_ptr"):
+    handle = 0
+    if not value.is_null:
+        if value not in h._handle_by_ptr:
+            h._handle_by_ptr[value] = h._next_handle
+            h._ptr_by_handle[h._next_handle] = value
+            h._next_handle += 1
+        handle = h._handle_by_ptr[value]
+    ref_store(h, p, handle.to_bytes(8, "little"), TAG_PTR, loc)
+
+
+class FieldRecord(Record):
+    ptr_member = ptr_field(0)
+    u64_member = u64_field(8)
+
+
+def _fused_ops(h, p, arg):
+    rec = FieldRecord(SimpleNamespace(heap=h), p)
+    return {
+        "read1": lambda: h.read(p, 1, "r"),
+        "readn": lambda: h.read(p, arg, "r"),
+        "read_u64": lambda: h.read_u64(p),
+        "read_ptr": lambda: h.read_ptr(p),
+        "write_u64": lambda: h.write_u64(p, arg),
+        "typed_write_u64": lambda: h.typed_write_u64(p, arg),
+        "write_ptr": lambda: h.write_ptr(p, arg),
+        "get_u64_field": lambda: rec.u64_member,
+        "get_ptr_field": lambda: rec.ptr_member,
+        "set_u64_field": lambda: setattr(rec, "u64_member", arg),
+        "set_ptr_field": lambda: setattr(rec, "ptr_member", arg),
+    }
+
+
+def _reference_ops(h, p, arg):
+    return {
+        "read1": lambda: ref_read(h, p, 1, "r"),
+        "readn": lambda: ref_read(h, p, arg, "r"),
+        "read_u64": lambda: ref_read_u64(h, p),
+        "read_ptr": lambda: ref_read_ptr(h, p),
+        "write_u64": lambda: ref_write_u64(h, p, arg),
+        "typed_write_u64": lambda: ref_store(
+            h, p, (arg & U64_MASK).to_bytes(8, "little"), TAG_U64, "typed_write_u64"),
+        "write_ptr": lambda: ref_write_ptr(h, p, arg),
+        "get_u64_field": lambda: ref_read_u64(h, p.add(8)),
+        "get_ptr_field": lambda: ref_read_ptr(h, p.add(0)),
+        "set_u64_field": lambda: ref_write_u64(h, p.add(8), arg),
+        "set_ptr_field": lambda: ref_write_ptr(h, p.add(0), arg),
+    }
+
+
+def _outcome(op):
+    try:
+        return ("ok", op())
+    except MemoryFaultError as e:
+        return ("fault", e.fault)
+    except (ValueError, UsageError) as e:
+        return (type(e).__name__, str(e))
+
+
+def _heap_state(h: Heap):
+    return (h.fault, h.global_epoch, dict(h._ptr_by_handle), h._next_handle,
+            [(a.id, a.size, a.freed, bytes(a.data), bytes(a.state), list(a.epochs),
+              bytes(a.tags)) for a in h.allocations.values()])
+
+
+_ARG_KIND = {"write_u64": "u64", "typed_write_u64": "u64",
+             "set_u64_field": "u64", "write_ptr": "ptr", "set_ptr_field": "ptr"}
+_OPS = sorted(_fused_ops(None, NULL_PTR, None))
+_STORE_OPS = ["typed_write_u64", "write_ptr", "write_u64"]
+_ARGS = {
+    "u64": st.integers(0, 2**65),
+    "ptr": st.sampled_from([NULL_PTR, Pointer.valid(1, 3), Pointer.valid(4, 0),
+                            Pointer.wild("w")]),
+}
+
+
+def _check_same(fused, ref, op, at, offset, arg):
+    """Runs one access on both heaps and compares everything it can touch."""
+    (fused_heap, fused_targets, fused_draws), (ref_heap, ref_targets, ref_draws) = fused, ref
+    p, q = fused_targets[at].add(offset), ref_targets[at].add(offset)
+    assert _outcome(_fused_ops(fused_heap, p, arg)[op]) == \
+        _outcome(_reference_ops(ref_heap, q, arg)[op])
+    assert fused_draws == ref_draws
+    assert _heap_state(fused_heap) == _heap_state(ref_heap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fused_accessors_match_per_byte_reference(data):
+    """Two heaps built alike run the same accesses, one through the fused
+    methods and record fields, one through the per-byte reference.  Up to
+    three random 8-byte stores come first.  Then every access, with reads
+    of several lengths, is tried on freshly built heaps: through a valid
+    and a freed allocation at the edge offsets and two random ones, and
+    through an unknown, a null and a wild pointer."""
+    size = data.draw(st.integers(1, 24), label="size")
+    states = data.draw(st.one_of(
+        st.sampled_from([_INIT, _HAVOC, _UNINIT]).map(lambda s: [s] * size),
+        st.lists(st.sampled_from([_INIT] * 4 + [_HAVOC, _UNINIT]),
+                 min_size=size, max_size=size)), label="states")
+    content = data.draw(st.binary(min_size=size, max_size=size))
+    tags = data.draw(st.lists(st.sampled_from([TAG_NONE, TAG_U8, TAG_U64, TAG_PTR]),
+                              min_size=size, max_size=size))
+    epochs = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    live_at = data.draw(st.integers(0, size - 8) if size >= 8 else st.none(),
+                        label="write_ptr offset")
+    uninit_is_fault = data.draw(st.booleans())
+    has_source = data.draw(st.booleans(), label="has byte source")
+    latched = data.draw(st.integers(0, 3).map(lambda n: n == 0), label="latched")
+    prefix = []
+    if size >= 8:
+        for _ in range(data.draw(st.integers(0, 3), label="stores")):
+            op = data.draw(st.sampled_from(_STORE_OPS))
+            prefix.append((op, data.draw(st.sampled_from(["valid", "freed"])),
+                           data.draw(st.integers(0, size - 8)),
+                           data.draw(_ARGS[_ARG_KIND[op]])))
+    calls = [(op, data.draw(_ARGS[_ARG_KIND[op]], label=op) if op in _ARG_KIND else None)
+             for op in _OPS if op != "readn"]
+    calls += [("readn", n) for n in (-1, 0, 2, 8, data.draw(st.integers(3, 10)))]
+    offsets = {-1, 0, size - 8, size - 7, size - 1, size, live_at or 0,
+               data.draw(st.integers(-3, size + 2)), data.draw(st.integers(-3, size + 2))}
+
+    def build():
+        draws = []
+        h = make_heap(uninit_read_is_fault=uninit_is_fault,
+                      byte_source=logging_source(draws) if has_source else None)
+        allocs = [h.alloc(size), h.alloc(size)]  # the second is freed below
+        for p in allocs:
+            a = h.allocations[p.alloc_id]
+            a.state[:], a.data[:], a.tags[:] = bytes(states), content, bytes(tags)
+            a.epochs[:] = epochs
+        h.global_epoch = 2
+        if live_at is not None:
+            for p in allocs:
+                ref_write_ptr(h, p.add(live_at), allocs[0].add(live_at))
+        return h, {"valid": allocs[0], "freed": allocs[1], "unknown": Pointer.valid(99, 0),
+                   "null": NULL_PTR, "wild": Pointer.wild("t")}, draws
+
+    sweep = [(t, o) for t in ("valid", "freed") for o in sorted(offsets)]
+    sweep += [("unknown", 0), ("null", 0), ("wild", 0)]
+    for op, arg in calls:
+        for target, offset in sweep:
+            fused, ref = build(), build()
+            for access in prefix:
+                _check_same(fused, ref, *access)
+            for h, targets, _ in (fused, ref):
+                h.free(targets["freed"])
+                if latched:
+                    h.fault = Fault(FaultKind.OUT_OF_BOUNDS, "earlier", "latched before")
+            _check_same(fused, ref, op, target, offset, arg)
 
 
 def havocked_slot_proof(ctx):
