@@ -14,6 +14,7 @@ The CAS_SEED environment variable overrides --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fnmatch
 import os
 import sys
@@ -113,16 +114,15 @@ def _select(pattern: str) -> list[ProofEntry]:
     return [e for e in entries if fnmatch.fnmatch(e.name, pattern)]
 
 
-def _emit(args, text: str):
+def _open_output(args):
+    """The `-o` file, opened before any case runs so that an unwritable
+    path fails at once; standard output when there is no `-o`."""
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.output, "w")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _save_tapes(directory: str, results) -> None:
-    os.makedirs(directory, exist_ok=True)
     for r in results:
         if r.tape is not None:
             path = os.path.join(directory, f"{r.entry.name}.{r.case.label}.tape")
@@ -146,17 +146,23 @@ def _cmd_run(args, cfg: ExploreConfig) -> int:
         tasks = [(e, c) for e in entries for c in e.cases]
     else:
         tasks = [(e, e.free_case(args.variant)) for e in entries]
-    results = [run_case(e, c, cfg) for e, c in tasks]
-
-    doc = report_mod.build_document("run", cfg, results)
-    text = report_mod.to_json(doc) if args.report == "json" \
-        else report_mod.to_markdown(doc)
     try:
         if args.save_tapes:
-            _save_tapes(args.save_tapes, results)
-        _emit(args, text)
+            os.makedirs(args.save_tapes, exist_ok=True)
+        out = _open_output(args)
     except OSError as e:
         return _cannot_write(e)
+    with out as fh:
+        results = [run_case(e, c, cfg) for e, c in tasks]
+        doc = report_mod.build_document("run", cfg, results)
+        text = report_mod.to_json(doc) if args.report == "json" \
+            else report_mod.to_markdown(doc)
+        try:
+            if args.save_tapes:
+                _save_tapes(args.save_tapes, results)
+            fh.write(text)
+        except OSError as e:
+            return _cannot_write(e)
 
     if args.check_expected:
         return 0 if all(r.matched for r in results) else 1
@@ -199,16 +205,21 @@ def _cmd_matrix(args, cfg: ExploreConfig) -> int:
     if not entries:
         print(f"no seeded-bug proofs matched {args.proofs!r}", file=sys.stderr)
         return 2
-    matrix = run_matrix(cfg, entries)
-    doc = report_mod.build_document("matrix", cfg, matrix.results, matrix=matrix)
-    if args.report == "json":
-        text = report_mod.to_json(doc)
-    else:
-        text = "\n".join(report_mod.matrix_markdown_lines(doc["matrix"])) + "\n"
     try:
-        _emit(args, text)
+        out = _open_output(args)
     except OSError as e:
         return _cannot_write(e)
+    with out as fh:
+        matrix = run_matrix(cfg, entries)
+        doc = report_mod.build_document("matrix", cfg, matrix.results, matrix=matrix)
+        if args.report == "json":
+            text = report_mod.to_json(doc)
+        else:
+            text = "\n".join(report_mod.matrix_markdown_lines(doc["matrix"])) + "\n"
+        try:
+            fh.write(text)
+        except OSError as e:
+            return _cannot_write(e)
     if args.output:
         # keep the table visible even when the document went to a file
         print("\n".join(report_mod.matrix_markdown_lines(doc["matrix"])))

@@ -295,12 +295,9 @@ def _proof_pq_s_swap(ctx: RunContext):
     ctx.heap.havoc(data, total)
     lst.data = data
     lst.allocator = ALLOCATOR_TAG
-    a = sl.nd_size_t(ctx)
-    ctx.assume(a < length)
-    b = sl.nd_size_t(ctx)
-    ctx.assume(b < length)
-    ob_i = sl.nd_size_t(ctx)
-    ctx.assume(ob_i < total)
+    a = sl.nd_size_t_below(ctx, length)
+    b = sl.nd_size_t_below(ctx, length)
+    ob_i = sl.nd_size_t_below(ctx, total)
     old = ctx.heap.read(data.add(ob_i), 1)
     pq_s_swap(ctx, qp, a, b)
     variant = resolve_variant(ctx, "pq_swap_postcondition", None)

@@ -13,6 +13,9 @@ statistics.  The backends differ only in where each run's tape comes from:
   body is cheap to restart, so backtracking re-runs it with the DFS
   successor of the last tape as its prefix instead of capturing
   continuations.  Counterexamples are minimal in lexicographic tape order.
+  A bounded draw (`RunContext.choice_below`) records its bound, and the
+  successor steps past the siblings at or above it: they would be pruned
+  at that draw, so they are counted as pruned without being run.
 * random: independent seeded runs with boundary-biased draws; an `assume`
   failure aborts and rejects the run.  A random pass is explicitly weaker
   than an exhaustive pass and the report flags it.
@@ -106,7 +109,8 @@ class TapeEntry(NamedTuple):
 @dataclass(frozen=True)
 class ChoiceTape:
     """Recorded sequence of draws; replaying it against the same proof and
-    config reproduces the identical heap trace and verdict."""
+    config reproduces the same draws, the same assume and assert outcomes
+    and the same verdict.  Heap events are not part of a replay trace."""
 
     entries: tuple[TapeEntry, ...] = ()
 
@@ -295,6 +299,10 @@ class RunContext:
     kind and size, and `extend` picks every draw past it.
     """
 
+    # Position -> bound of each `choice_below` draw.  The first such draw
+    # creates the instance's own dict, so other runs never build one.
+    bounds: dict[int, int] | None = None
+
     def __init__(self, cfg: ExploreConfig, *, buggy: frozenset[str] = frozenset(),
                  prefix: Sequence[TapeEntry] = (),
                  extend: Callable[[int, int], int] = _first_index,
@@ -335,6 +343,20 @@ class RunContext:
         if self._trace is not None:
             self._trace.append(f"choice {pos + 1}: {domain.kind}[{n}] -> "
                                f"index {entry.index} ({value!r})")
+        return value
+
+    def choice_below(self, domain: Domain, bound: int):
+        """`choice(domain)` followed by `assume(index < bound)`: the same
+        draw, trace lines and prune.  The bound is recorded for the draw's
+        tape position, so the exhaustive backend counts the siblings at or
+        above it as pruned without running them.  That holds only if the
+        proof lets `PathPruned` propagate, as `assume` already requires."""
+        value = self.choice(domain)
+        pos = len(self.taken) - 1
+        if self.bounds is None:
+            self.bounds = {}
+        self.bounds[pos] = bound
+        self.assume(self.taken[pos].index < bound)
         return value
 
     def fresh_wild(self) -> Pointer:
@@ -404,15 +426,34 @@ def replay(proof: Callable, tape: ChoiceTape, cfg: ExploreConfig, *, name: str =
                   tape.entries, _past_tape_end, 1, trace)
 
 
-def _dfs_successor(taken: list[TapeEntry], sizes: list[int]) -> list[TapeEntry] | None:
-    """The prefix of the next tape in lexicographic DFS order, or None when
-    the tape tree is exhausted."""
+def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
+                   bounds: dict[int, int] | None
+                   ) -> tuple[list[TapeEntry] | None, int]:
+    """The prefix of the next tape to run in lexicographic DFS order, or
+    None when the tape tree is exhausted, and the number of leaves between
+    the two that a bounded draw prunes: every index at or above the bound
+    `bounds` records for a position.  Each such leaf ends at that draw, no
+    deeper than `taken`."""
+    skipped = 0
     i = len(taken) - 1
-    while i >= 0 and taken[i].index + 1 >= sizes[i]:
-        i -= 1
+    if bounds is None:  # the common case, kept to one test per position
+        while i >= 0 and taken[i].index + 1 >= sizes[i]:
+            i -= 1
+    else:
+        while i >= 0:
+            n, nxt = sizes[i], taken[i].index + 1
+            limit = min(n, bounds.get(i, n))
+            if nxt < limit:
+                break
+            skipped += n - max(limit, nxt)
+            i -= 1
     if i < 0:
-        return None
-    return taken[:i] + [TapeEntry(taken[i].kind, taken[i].index + 1)]
+        return None, skipped
+    return taken[:i] + [TapeEntry(taken[i].kind, taken[i].index + 1)], skipped
+
+
+def _bounds_on_prefix(bounds: dict[int, int] | None, n: int) -> dict[int, int]:
+    return {pos: b for pos, b in (bounds or {}).items() if pos < n}
 
 
 def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
@@ -423,16 +464,23 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
 
     Each run follows `prefix` and takes draws past it from `extend`.  The
     exhaustive backend then moves to the DFS successor of the run's tape;
-    random and replay runs all start from the same prefix.  The loop ends
-    at the first failing run, when the tape tree is exhausted, or after
-    `max_runs` runs.  Every run except a pruned one adds its assertion
-    hits, a run cut off by max_choices_per_path included.  Any exception a
-    proof raises, other than a tape mismatch, fails its run with that run's
-    tape, so it replays like any other counterexample."""
+    random and replay runs all start from the same prefix.  The leaves the
+    successor steps past at a bounded draw count as pruned runs, up to the
+    `max_runs` budget.  The loop ends at the first failing run, when the
+    tape tree is exhausted, or after `max_runs` runs.  Every run except a
+    pruned one adds its assertion hits, a run cut off by
+    max_choices_per_path included.  Any exception a proof raises, other
+    than a tape mismatch, fails its run with that run's tape, so it replays
+    like any other counterexample.  An exhaustive run whose bounds on its
+    prefix differ from those the previous run recorded raises
+    ReplayMismatchError."""
     t0 = time.perf_counter()
     hits = {s.site_id: 0 for s in declared}
     explored = pruned = truncated = depth = 0
     failure = None
+    exhausted = False
+    exhaustive = backend == EXHAUSTIVE
+    bounds = None  # recorded by the previous run
     while explored + pruned + truncated < max_runs:
         ctx = RunContext(cfg, buggy=buggy, prefix=prefix, extend=extend, trace=trace)
         try:
@@ -458,21 +506,33 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
             if trace is not None:
                 trace.extend(traceback.format_exc().splitlines())
             failure = Verdict(VERDICT_FAIL, message=f"proof raised {type(e).__name__}: {e}")
+        if exhaustive and ctx.bounds is not bounds:  # not both None
+            was, now = (_bounds_on_prefix(b, len(prefix)) for b in (bounds, ctx.bounds))
+            if was != now:
+                raise ReplayMismatchError(
+                    f"draw bounds (position: bound) on a recorded prefix changed "
+                    f"from {was} to {now}")
         depth = max(depth, len(ctx.taken))
         for sid, n in ctx.hits.items():
             hits[sid] = hits.get(sid, 0) + n
         if failure is not None:
             break
-        if backend == EXHAUSTIVE:
-            prefix = _dfs_successor(ctx.taken, ctx.sizes)
+        if exhaustive:
+            bounds = ctx.bounds
+            prefix, skipped = _dfs_successor(ctx.taken, ctx.sizes, bounds)
+            if skipped:
+                room = max_runs - (explored + pruned + truncated)
+                pruned += min(skipped, room)
+                if skipped > room:
+                    break
             if prefix is None:
+                exhausted = True
                 break
     if failure is not None:
         verdict, complete = replace(failure, tape=ChoiceTape(tuple(ctx.taken))), True
     else:
-        verdict, complete = _end_verdict(cfg, backend, explored, truncated,
-                                         exhausted=prefix is None)
-    dead = (backend == EXHAUSTIVE and cfg.warn_dead_assume and verdict.is_pass
+        verdict, complete = _end_verdict(cfg, backend, explored, truncated, exhausted)
+    dead = (exhaustive and cfg.warn_dead_assume and verdict.is_pass
             and explored == 0 and pruned > 0)
     return RunReport(name, backend, verdict, paths_explored=explored,
                      paths_pruned_by_assume=pruned, paths_truncated=truncated,

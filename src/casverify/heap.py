@@ -426,16 +426,17 @@ class Heap:
     def write_ptr(self, p: Pointer, value: Pointer, loc: str = "write_ptr"):
         """Store a pointer value as 8 little-endian bytes of an interned
         handle.  Handles are per-heap and deterministic."""
-        if value.is_null:
-            handle = 0
-        else:
-            handle = self._handle_by_ptr.get(value)
-            if handle is None:
-                handle = self._next_handle
-                self._next_handle += 1
-                self._handle_by_ptr[value] = handle
-                self._ptr_by_handle[handle] = value
+        handle = 0 if value.is_null else (self._handle_by_ptr.get(value)
+                                          or self._intern(value))
         self._store8(p, handle.to_bytes(8, "little"), TAG_PTR, loc)
+
+    def _intern(self, value: Pointer) -> int:
+        """A new handle for a pointer value with none yet; handles start at 1."""
+        handle = self._next_handle
+        self._next_handle += 1
+        self._handle_by_ptr[value] = handle
+        self._ptr_by_handle[handle] = value
+        return handle
 
     def read_ptr(self, p: Pointer, loc: str = "read_ptr") -> Pointer:
         """Decode 8 bytes as a pointer.
@@ -469,6 +470,98 @@ class Heap:
         (by token)."""
         kp, kq = _cmp_key(p), _cmp_key(q)
         return -1 if kp < kq else (0 if kp == kq else 1)
+
+
+# -- record fields ---------------------------------------------------------------
+#
+# A record is a view with a `heap` and a base pointer `ptr` (see
+# `awsport.Record`); its members are properties built by `u64_field` and
+# `ptr_field`.  An access to a field in bounds of a live allocation, with
+# no fault latched and, for a get, all 8 bytes initialized, decodes or
+# stores in the accessor's own frame, as `read_u64`, `read_ptr` and
+# `_store8` do in theirs.  Every other access goes through those methods,
+# so faults, messages, draws and pointer provenance are theirs.
+
+
+def _field_ptr(p: Pointer, off: int) -> Pointer:
+    """The member pointer, built inline for a valid base as `Pointer.add`
+    builds it; a null or wild base goes through `add`."""
+    kind, alloc_id, offset, _ = p
+    if kind is _VALID:
+        return _new_ptr(Pointer, (_VALID, alloc_id, offset + off, ""))
+    return p.add(off)
+
+
+def u64_field(off: int) -> property:
+    """Untyped 8-byte unsigned member at `off`.  Stores wrap modulo 2**64,
+    so decrementing a zero counter yields U64_MAX."""
+
+    def get(rec):
+        h = rec.heap
+        kind, alloc_id, lo, _ = rec.ptr
+        lo += off
+        a = h.allocations.get(alloc_id) if kind is _VALID else None
+        if (a is not None and h.fault is None and not a.freed and 0 <= lo
+                and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
+            return int.from_bytes(a.data[lo:lo + 8], "little")
+        return h.read_u64(_field_ptr(rec.ptr, off))
+
+    def set_(rec, value):
+        h = rec.heap
+        kind, alloc_id, lo, _ = rec.ptr
+        lo += off
+        a = h.allocations.get(alloc_id) if kind is _VALID else None
+        if a is not None and h.fault is None and not a.freed and 0 <= lo and lo + 8 <= a.size:
+            buf = (value & U64_MASK).to_bytes(8, "little")
+            h.global_epoch = epoch = h.global_epoch + 1
+            hi = lo + 8
+            a.data[lo:hi] = buf
+            a.state[lo:hi] = _FILL8[_INIT]
+            a.epochs[lo:hi] = (epoch,) * 8
+            a.tags[lo:hi] = _FILL8[TAG_U8]
+        else:
+            h.write_u64(_field_ptr(rec.ptr, off), value)
+
+    return property(get, set_, doc=f"u64 at offset {off}")
+
+
+def ptr_field(off: int) -> property:
+    """Pointer member at `off`, stored in the heap's pointer encoding."""
+
+    def get(rec):
+        h = rec.heap
+        kind, alloc_id, lo, _ = rec.ptr
+        lo += off
+        a = h.allocations.get(alloc_id) if kind is _VALID else None
+        if (a is not None and h.fault is None and not a.freed and 0 <= lo
+                and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
+            raw = int.from_bytes(a.data[lo:lo + 8], "little")
+            if raw == 0:
+                return NULL_PTR
+            if (a.tags.count(TAG_PTR, lo, lo + 8) == 8
+                    and a.epochs[lo:lo + 8].count(a.epochs[lo]) == 8):
+                return h._ptr_by_handle[raw]
+            return Pointer.wild(f"bits:{raw:#x}")
+        return h.read_ptr(_field_ptr(rec.ptr, off))
+
+    def set_(rec, value):
+        h = rec.heap
+        kind, alloc_id, lo, _ = rec.ptr
+        lo += off
+        a = h.allocations.get(alloc_id) if kind is _VALID else None
+        if a is not None and h.fault is None and not a.freed and 0 <= lo and lo + 8 <= a.size:
+            handle = 0 if value.is_null else (h._handle_by_ptr.get(value)
+                                              or h._intern(value))
+            h.global_epoch = epoch = h.global_epoch + 1
+            hi = lo + 8
+            a.data[lo:hi] = handle.to_bytes(8, "little")
+            a.state[lo:hi] = _FILL8[_INIT]
+            a.epochs[lo:hi] = (epoch,) * 8
+            a.tags[lo:hi] = _FILL8[TAG_PTR]
+        else:
+            h.write_ptr(_field_ptr(rec.ptr, off), value)
+
+    return property(get, set_, doc=f"pointer at offset {off}")
 
 
 def _cmp_key(p: Pointer):

@@ -41,6 +41,13 @@ def nd_size_t(ctx: RunContext) -> int:
     return ctx.choice(Domain.size_t(ctx.cfg.size_bound))
 
 
+def nd_size_t_below(ctx: RunContext, n: int) -> int:
+    """`nd_size_t` followed by `assume(i < n)`, with the same draw, trace
+    and prune.  The exhaustive backend counts the values at or above `n` as
+    pruned without running them."""
+    return ctx.choice_below(Domain.size_t(ctx.cfg.size_bound), n)
+
+
 def nd_u64(ctx: RunContext) -> int:
     """Arbitrary 64-bit value drawn from the configured boundary set."""
     return ctx.choice(ctx.cfg.u64_dom)
@@ -117,7 +124,6 @@ def assert_bytes_match(ctx: RunContext, a: Pointer, b: Pointer, length: int,
     else:
         ctx.sassert(null_site, null_eq)
     if length > 0 and not a.is_null and not b.is_null:
-        i = nd_size_t(ctx)
-        ctx.assume(i < length)
+        i = nd_size_t_below(ctx, length)
         ctx.sassert(byte_site,
                     ctx.heap.read(a.add(i), 1) == ctx.heap.read(b.add(i), 1))

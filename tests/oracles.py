@@ -47,6 +47,11 @@ class OracleContext:
         self._pos += 1
         return domain.values[idx]
 
+    def choice_below(self, domain, bound):
+        value = self.choice(domain)
+        self.assume(self._forced[self._pos - 1] < bound)
+        return value
+
     def assume(self, cond):
         if not cond:
             raise OraclePrune()

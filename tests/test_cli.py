@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from casverify import cli, corpus
 from casverify.cli import main
 from casverify.report import SCHEMA_VERSION
 
@@ -180,7 +181,12 @@ def test_bad_config_exit_2(flags, env, tmp_path, monkeypatch, capsys):
     ["matrix", "--proofs", "byte_buf_invariant", "--max-bound", "2", "--report", "json",
      "-o", "{blocked}/m.json"],
 ], ids=["run_output", "run_save_tapes", "matrix_output"])
-def test_unwritable_output_path_exit_2(argv, tmp_path, capsys):
+def test_unwritable_output_path_exit_2(argv, tmp_path, capsys, monkeypatch):
+    def no_case_may_run(*args, **kwargs):
+        raise AssertionError("a case ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_case", no_case_may_run)
+    monkeypatch.setattr(corpus, "run_case", no_case_may_run)
     blocked = tmp_path / "regular_file"
     blocked.write_text("")
     argv = [a.format(blocked=blocked, tmp=tmp_path) for a in argv]

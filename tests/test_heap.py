@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casverify import speclib as sl
-from casverify.awsport import Record, ptr_field, u64_field
+from casverify.awsport import Record
 from casverify.engine import ChoiceTape, ExploreConfig, explore, replay
 from casverify.heap import (
     _HAVOC,
@@ -26,6 +26,8 @@ from casverify.heap import (
     Pointer,
     PtrKind,
     UsageError,
+    ptr_field,
+    u64_field,
 )
 
 
@@ -488,6 +490,22 @@ def test_read_ptr_of_a_partly_overwritten_pointer_is_wild():
     h.write_ptr(table.add(1), NULL_PTR)
     assert h.read(table, 8) == (1).to_bytes(8, "little")
     assert h.read_ptr(table).is_wild
+
+
+def test_ptr_field_decoded_in_place_keeps_provenance():
+    def field(h, q):
+        return FieldRecord(SimpleNamespace(heap=h), q).ptr_member
+
+    h = make_heap()
+    table, target = live_slot(h)
+    h.write(table.add(8), (1).to_bytes(8, "little"))
+    assert field(h, table) == target
+    assert field(h, table.add(8)).is_wild  # the handle's bytes, not its tag
+    # Pointer tags throughout, but from two write_ptr calls.
+    h = make_heap()
+    table, _ = live_slot(h)
+    h.write_ptr(table.add(1), NULL_PTR)
+    assert field(h, table).is_wild
 
 
 def test_read_ptr_of_zero_bytes_is_null():
