@@ -14,7 +14,6 @@ The CAS_SEED environment variable overrides --seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import fnmatch
 import os
 import sys
@@ -114,12 +113,26 @@ def _select(pattern: str) -> list[ProofEntry]:
     return [e for e in entries if fnmatch.fnmatch(e.name, pattern)]
 
 
-def _open_output(args):
-    """The `-o` file, opened before any case runs so that an unwritable
-    path fails at once; standard output when there is no `-o`."""
+def _check_writable(args) -> None:
+    """Raise the OSError that writing `-o` or `--save-tapes` would meet, so
+    that an unwritable path fails before any case runs.  An existing `-o`
+    file is left as it is, and a new one is removed again; the
+    `--save-tapes` directory is created."""
     if args.output:
-        return open(args.output, "w")
-    return contextlib.nullcontext(sys.stdout)
+        existed = os.path.lexists(args.output)
+        open(args.output, "a").close()
+        if not existed:
+            os.remove(args.output)
+    if getattr(args, "save_tapes", None):
+        os.makedirs(args.save_tapes, exist_ok=True)
+
+
+def _emit(args, text: str):
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _save_tapes(directory: str, results) -> None:
@@ -147,22 +160,20 @@ def _cmd_run(args, cfg: ExploreConfig) -> int:
     else:
         tasks = [(e, e.free_case(args.variant)) for e in entries]
     try:
-        if args.save_tapes:
-            os.makedirs(args.save_tapes, exist_ok=True)
-        out = _open_output(args)
+        _check_writable(args)
     except OSError as e:
         return _cannot_write(e)
-    with out as fh:
-        results = [run_case(e, c, cfg) for e, c in tasks]
-        doc = report_mod.build_document("run", cfg, results)
-        text = report_mod.to_json(doc) if args.report == "json" \
-            else report_mod.to_markdown(doc)
-        try:
-            if args.save_tapes:
-                _save_tapes(args.save_tapes, results)
-            fh.write(text)
-        except OSError as e:
-            return _cannot_write(e)
+    results = [run_case(e, c, cfg) for e, c in tasks]
+
+    doc = report_mod.build_document("run", cfg, results)
+    text = report_mod.to_json(doc) if args.report == "json" \
+        else report_mod.to_markdown(doc)
+    try:
+        if args.save_tapes:
+            _save_tapes(args.save_tapes, results)
+        _emit(args, text)
+    except OSError as e:
+        return _cannot_write(e)
 
     if args.check_expected:
         return 0 if all(r.matched for r in results) else 1
@@ -206,20 +217,19 @@ def _cmd_matrix(args, cfg: ExploreConfig) -> int:
         print(f"no seeded-bug proofs matched {args.proofs!r}", file=sys.stderr)
         return 2
     try:
-        out = _open_output(args)
+        _check_writable(args)
     except OSError as e:
         return _cannot_write(e)
-    with out as fh:
-        matrix = run_matrix(cfg, entries)
-        doc = report_mod.build_document("matrix", cfg, matrix.results, matrix=matrix)
-        if args.report == "json":
-            text = report_mod.to_json(doc)
-        else:
-            text = "\n".join(report_mod.matrix_markdown_lines(doc["matrix"])) + "\n"
-        try:
-            fh.write(text)
-        except OSError as e:
-            return _cannot_write(e)
+    matrix = run_matrix(cfg, entries)
+    doc = report_mod.build_document("matrix", cfg, matrix.results, matrix=matrix)
+    if args.report == "json":
+        text = report_mod.to_json(doc)
+    else:
+        text = "\n".join(report_mod.matrix_markdown_lines(doc["matrix"])) + "\n"
+    try:
+        _emit(args, text)
+    except OSError as e:
+        return _cannot_write(e)
     if args.output:
         # keep the table visible even when the document went to a file
         print("\n".join(report_mod.matrix_markdown_lines(doc["matrix"])))

@@ -434,19 +434,16 @@ def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
     the two that a bounded draw prunes: every index at or above the bound
     `bounds` records for a position.  Each such leaf ends at that draw, no
     deeper than `taken`."""
+    b = bounds or {}
     skipped = 0
     i = len(taken) - 1
-    if bounds is None:  # the common case, kept to one test per position
-        while i >= 0 and taken[i].index + 1 >= sizes[i]:
-            i -= 1
-    else:
-        while i >= 0:
-            n, nxt = sizes[i], taken[i].index + 1
-            limit = min(n, bounds.get(i, n))
-            if nxt < limit:
-                break
-            skipped += n - max(limit, nxt)
-            i -= 1
+    while i >= 0:
+        n, nxt = sizes[i], taken[i].index + 1
+        limit = min(n, b.get(i, n))
+        if nxt < limit:
+            break
+        skipped += n - max(limit, nxt)
+        i -= 1
     if i < 0:
         return None, skipped
     return taken[:i] + [TapeEntry(taken[i].kind, taken[i].index + 1)], skipped

@@ -342,15 +342,16 @@ class Heap:
             a.epochs[i] = self.global_epoch
             a.tags[i] = tag
 
-    def _store8(self, p: Pointer, buf: bytes, tag: int, loc: str):
-        """`_store` of exactly 8 bytes, as slice assignments."""
+    def _store8(self, p: Pointer, buf: bytes, tag: int, loc: str, off: int = 0):
+        """`_store` of exactly 8 bytes at `p + off`, as slice assignments."""
         if self.fault is not None:
             raise MemoryFaultError(self.fault)
         kind, alloc_id, lo, _ = p
+        lo += off
         a = self.allocations.get(alloc_id) if kind is _VALID else None
         hi = lo + 8
         if a is None or a.freed or lo < 0 or hi > a.size:
-            a = self._checked_alloc(p, 8, loc)
+            a = self._checked_alloc(p.add(off), 8, loc)
         self.global_epoch = epoch = self.global_epoch + 1
         a.data[lo:hi] = buf
         a.state[lo:hi] = _FILL8[_INIT]
@@ -408,37 +409,40 @@ class Heap:
         self._store8(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U64, loc)
 
     # -- scalar / pointer field helpers ------------------------------------
+    #
+    # Each accessor works at `p + off`.  A record field passes its offset
+    # as `off`, so only a slow path builds the member pointer.
 
-    def read_u64(self, p: Pointer, loc: str = "read_u64") -> int:
+    def read_u64(self, p: Pointer, loc: str = "read_u64", off: int = 0) -> int:
         """Untyped little-endian 8-byte read (no effective-type check)."""
         # Eight written bytes of a live allocation decode in place; anything
         # else goes through `read`, which draws, faults or re-raises.
         kind, alloc_id, lo, _ = p
+        lo += off
         a = self.allocations.get(alloc_id) if kind is _VALID else None
         if (a is not None and self.fault is None and not a.freed
                 and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
             return int.from_bytes(a.data[lo:lo + 8], "little")
-        return int.from_bytes(self.read(p, 8, loc), "little")
+        return int.from_bytes(self.read(p.add(off), 8, loc), "little")
 
-    def write_u64(self, p: Pointer, value: int, loc: str = "write_u64"):
-        self._store8(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc)
+    def write_u64(self, p: Pointer, value: int, loc: str = "write_u64", off: int = 0):
+        self._store8(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc, off)
 
-    def write_ptr(self, p: Pointer, value: Pointer, loc: str = "write_ptr"):
+    def write_ptr(self, p: Pointer, value: Pointer, loc: str = "write_ptr", off: int = 0):
         """Store a pointer value as 8 little-endian bytes of an interned
         handle.  Handles are per-heap and deterministic."""
-        handle = 0 if value.is_null else (self._handle_by_ptr.get(value)
-                                          or self._intern(value))
-        self._store8(p, handle.to_bytes(8, "little"), TAG_PTR, loc)
+        if value.is_null:
+            handle = 0
+        else:
+            handle = self._handle_by_ptr.get(value)
+            if handle is None:
+                handle = self._next_handle
+                self._next_handle += 1
+                self._handle_by_ptr[value] = handle
+                self._ptr_by_handle[handle] = value
+        self._store8(p, handle.to_bytes(8, "little"), TAG_PTR, loc, off)
 
-    def _intern(self, value: Pointer) -> int:
-        """A new handle for a pointer value with none yet; handles start at 1."""
-        handle = self._next_handle
-        self._next_handle += 1
-        self._handle_by_ptr[value] = handle
-        self._ptr_by_handle[handle] = value
-        return handle
-
-    def read_ptr(self, p: Pointer, loc: str = "read_ptr") -> Pointer:
+    def read_ptr(self, p: Pointer, loc: str = "read_ptr", off: int = 0) -> Pointer:
         """Decode 8 bytes as a pointer.
 
         All-zero bytes decode to null.  Other bytes decode to the pointer
@@ -448,12 +452,13 @@ class Heap:
         pointer, so a later dereference faults instead of silently
         aliasing a live allocation."""
         kind, alloc_id, lo, _ = p
+        lo += off
         a = self.allocations.get(alloc_id) if kind is _VALID else None
         if (a is not None and self.fault is None and not a.freed
                 and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
             raw = int.from_bytes(a.data[lo:lo + 8], "little")
         else:
-            raw = int.from_bytes(self.read(p, 8, loc), "little")
+            raw = int.from_bytes(self.read(p.add(off), 8, loc), "little")
             a = self.allocations[alloc_id]
         if raw == 0:
             return NULL_PTR
@@ -476,20 +481,8 @@ class Heap:
 #
 # A record is a view with a `heap` and a base pointer `ptr` (see
 # `awsport.Record`); its members are properties built by `u64_field` and
-# `ptr_field`.  An access to a field in bounds of a live allocation, with
-# no fault latched and, for a get, all 8 bytes initialized, decodes or
-# stores in the accessor's own frame, as `read_u64`, `read_ptr` and
-# `_store8` do in theirs.  Every other access goes through those methods,
-# so faults, messages, draws and pointer provenance are theirs.
-
-
-def _field_ptr(p: Pointer, off: int) -> Pointer:
-    """The member pointer, built inline for a valid base as `Pointer.add`
-    builds it; a null or wild base goes through `add`."""
-    kind, alloc_id, offset, _ = p
-    if kind is _VALID:
-        return _new_ptr(Pointer, (_VALID, alloc_id, offset + off, ""))
-    return p.add(off)
+# `ptr_field`, which pass the member's offset to `read_u64`, `read_ptr`,
+# `write_u64` and `write_ptr`.
 
 
 def u64_field(off: int) -> property:
@@ -497,30 +490,10 @@ def u64_field(off: int) -> property:
     so decrementing a zero counter yields U64_MAX."""
 
     def get(rec):
-        h = rec.heap
-        kind, alloc_id, lo, _ = rec.ptr
-        lo += off
-        a = h.allocations.get(alloc_id) if kind is _VALID else None
-        if (a is not None and h.fault is None and not a.freed and 0 <= lo
-                and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
-            return int.from_bytes(a.data[lo:lo + 8], "little")
-        return h.read_u64(_field_ptr(rec.ptr, off))
+        return rec.heap.read_u64(rec.ptr, off=off)
 
     def set_(rec, value):
-        h = rec.heap
-        kind, alloc_id, lo, _ = rec.ptr
-        lo += off
-        a = h.allocations.get(alloc_id) if kind is _VALID else None
-        if a is not None and h.fault is None and not a.freed and 0 <= lo and lo + 8 <= a.size:
-            buf = (value & U64_MASK).to_bytes(8, "little")
-            h.global_epoch = epoch = h.global_epoch + 1
-            hi = lo + 8
-            a.data[lo:hi] = buf
-            a.state[lo:hi] = _FILL8[_INIT]
-            a.epochs[lo:hi] = (epoch,) * 8
-            a.tags[lo:hi] = _FILL8[TAG_U8]
-        else:
-            h.write_u64(_field_ptr(rec.ptr, off), value)
+        rec.heap.write_u64(rec.ptr, value, off=off)
 
     return property(get, set_, doc=f"u64 at offset {off}")
 
@@ -529,37 +502,10 @@ def ptr_field(off: int) -> property:
     """Pointer member at `off`, stored in the heap's pointer encoding."""
 
     def get(rec):
-        h = rec.heap
-        kind, alloc_id, lo, _ = rec.ptr
-        lo += off
-        a = h.allocations.get(alloc_id) if kind is _VALID else None
-        if (a is not None and h.fault is None and not a.freed and 0 <= lo
-                and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
-            raw = int.from_bytes(a.data[lo:lo + 8], "little")
-            if raw == 0:
-                return NULL_PTR
-            if (a.tags.count(TAG_PTR, lo, lo + 8) == 8
-                    and a.epochs[lo:lo + 8].count(a.epochs[lo]) == 8):
-                return h._ptr_by_handle[raw]
-            return Pointer.wild(f"bits:{raw:#x}")
-        return h.read_ptr(_field_ptr(rec.ptr, off))
+        return rec.heap.read_ptr(rec.ptr, off=off)
 
     def set_(rec, value):
-        h = rec.heap
-        kind, alloc_id, lo, _ = rec.ptr
-        lo += off
-        a = h.allocations.get(alloc_id) if kind is _VALID else None
-        if a is not None and h.fault is None and not a.freed and 0 <= lo and lo + 8 <= a.size:
-            handle = 0 if value.is_null else (h._handle_by_ptr.get(value)
-                                              or h._intern(value))
-            h.global_epoch = epoch = h.global_epoch + 1
-            hi = lo + 8
-            a.data[lo:hi] = handle.to_bytes(8, "little")
-            a.state[lo:hi] = _FILL8[_INIT]
-            a.epochs[lo:hi] = (epoch,) * 8
-            a.tags[lo:hi] = _FILL8[TAG_PTR]
-        else:
-            h.write_ptr(_field_ptr(rec.ptr, off), value)
+        rec.heap.write_ptr(rec.ptr, value, off=off)
 
     return property(get, set_, doc=f"pointer at offset {off}")
 

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import re
 
 import pytest
@@ -194,3 +197,52 @@ def test_unwritable_output_path_exit_2(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith(f"verify: cannot write {blocked}/")
     assert "Traceback" not in err
+
+
+class _FullDiskFile(io.StringIO):
+    """A file whose buffered data cannot be flushed at close."""
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.name)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--proofs", "byte_buf_invariant", "--max-bound", "2"],
+    ["matrix", "--proofs", "byte_buf_invariant", "--max-bound", "2"],
+], ids=["run", "matrix"])
+def test_write_error_at_close_exit_2(command, tmp_path, capsys, monkeypatch):
+    def open_(path, mode="r", *args, **kwargs):
+        if mode != "w":
+            return open(path, mode, *args, **kwargs)
+        fh = _FullDiskFile()
+        fh.name = path
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_, raising=False)
+    out = tmp_path / "out.json"
+    assert run_cli(*command, "--report", "json", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"verify: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_output_path_check_changes_nothing_before_the_run(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("the run crashed")
+
+    monkeypatch.setattr(cli, "run_case", crash)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("the previous report")
+    for out in (old, new):
+        with pytest.raises(RuntimeError):
+            run_cli("run", "--proofs", "byte_buf_invariant", "-o", str(out))
+    assert old.read_text() == "the previous report"
+    assert not new.exists()
+    # A bad -o is found before the tapes directory is created.
+    blocked = tmp_path / "regular_file"
+    blocked.write_text("")
+    tapes = tmp_path / "tapes"
+    assert run_cli("run", "--proofs", "byte_buf_invariant", "--save-tapes", str(tapes),
+                   "-o", f"{blocked}/out.json") == 2
+    assert not tapes.exists()

@@ -492,9 +492,9 @@ def test_read_ptr_of_a_partly_overwritten_pointer_is_wild():
     assert h.read_ptr(table).is_wild
 
 
-def test_ptr_field_decoded_in_place_keeps_provenance():
+def test_ptr_field_keeps_provenance():
     def field(h, q):
-        return FieldRecord(SimpleNamespace(heap=h), q).ptr_member
+        return FieldRecord(SimpleNamespace(heap=h), q.add(-_PTR_MEMBER_OFF)).ptr_member
 
     h = make_heap()
     table, target = live_slot(h)
@@ -576,9 +576,13 @@ def ref_write_ptr(h: Heap, p: Pointer, value: Pointer, loc: str = "write_ptr"):
     ref_store(h, p, handle.to_bytes(8, "little"), TAG_PTR, loc)
 
 
+# Members off the base, so that an access that drops the offset differs.
+_PTR_MEMBER_OFF, _U64_MEMBER_OFF = 5, 3
+
+
 class FieldRecord(Record):
-    ptr_member = ptr_field(0)
-    u64_member = u64_field(8)
+    ptr_member = ptr_field(_PTR_MEMBER_OFF)
+    u64_member = u64_field(_U64_MEMBER_OFF)
 
 
 def _fused_ops(h, p, arg):
@@ -608,10 +612,10 @@ def _reference_ops(h, p, arg):
         "typed_write_u64": lambda: ref_store(
             h, p, (arg & U64_MASK).to_bytes(8, "little"), TAG_U64, "typed_write_u64"),
         "write_ptr": lambda: ref_write_ptr(h, p, arg),
-        "get_u64_field": lambda: ref_read_u64(h, p.add(8)),
-        "get_ptr_field": lambda: ref_read_ptr(h, p.add(0)),
-        "set_u64_field": lambda: ref_write_u64(h, p.add(8), arg),
-        "set_ptr_field": lambda: ref_write_ptr(h, p.add(0), arg),
+        "get_u64_field": lambda: ref_read_u64(h, p.add(_U64_MEMBER_OFF)),
+        "get_ptr_field": lambda: ref_read_ptr(h, p.add(_PTR_MEMBER_OFF)),
+        "set_u64_field": lambda: ref_write_u64(h, p.add(_U64_MEMBER_OFF), arg),
+        "set_ptr_field": lambda: ref_write_ptr(h, p.add(_PTR_MEMBER_OFF), arg),
     }
 
 
