@@ -16,12 +16,18 @@ def main() -> int:
     ap.add_argument("--random-budget", type=int, default=10_000)
     ap.add_argument("--max-bound", type=int, default=3)
     args = ap.parse_args()
+    if args.seeds <= 0:
+        ap.error("--seeds must be positive")
+    try:
+        cfgs = [ExploreConfig(backend=RANDOM, size_bound=args.max_bound,
+                              random_budget=args.random_budget, seed=seed)
+                for seed in range(args.seeds)]
+    except ValueError as e:
+        ap.error(f"bad configuration: {e}")
 
     detected = defaultdict(int)
     runs_needed = defaultdict(list)
-    for seed in range(args.seeds):
-        cfg = ExploreConfig(backend=RANDOM, size_bound=args.max_bound,
-                            random_budget=args.random_budget, seed=seed)
+    for cfg in cfgs:
         matrix = run_matrix(cfg)
         for row, result in zip(matrix.rows, matrix.results):
             if row.counterexample == CELL_DETECTED:

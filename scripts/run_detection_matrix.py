@@ -16,14 +16,18 @@ def main() -> int:
     ap.add_argument("--random-budget", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        cfgs = [ExploreConfig(backend=backend, size_bound=args.max_bound,
+                              random_budget=args.random_budget, seed=args.seed)
+                for backend in (EXHAUSTIVE, RANDOM)]
+    except ValueError as e:
+        ap.error(f"bad configuration: {e}")
 
     ok = True
-    for backend in (EXHAUSTIVE, RANDOM):
-        cfg = ExploreConfig(backend=backend, size_bound=args.max_bound,
-                            random_budget=args.random_budget, seed=args.seed)
+    for cfg in cfgs:
         matrix = run_matrix(cfg)
         doc = build_document("matrix", cfg, matrix.results, matrix=matrix)
-        print(f"\n### backend: {backend}\n")
+        print(f"\n### backend: {cfg.backend}\n")
         print("\n".join(matrix_markdown_lines(doc["matrix"])))
         print("\nper-proof statistics:")
         for result in matrix.results:
@@ -31,7 +35,7 @@ def main() -> int:
             print(f"  {result.entry.name:32s} paths={r.paths_explored:<6d} "
                   f"pruned={r.paths_pruned_by_assume:<6d} "
                   f"truncated={r.paths_truncated:<6d} time={r.wall_time:.3f}s")
-        if backend == EXHAUSTIVE and not matrix.all_match:
+        if cfg.backend == EXHAUSTIVE and not matrix.all_match:
             ok = False
     return 0 if ok else 1
 

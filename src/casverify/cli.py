@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import functools
 import os
 import sys
 
@@ -52,6 +53,11 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str):
     p.add_argument("-o", "--output", default=None)
 
 
+# An argparse parser is a web of reference cycles, so a parser built per
+# call would leave garbage for the cyclic collector after every in-process
+# `main`.  Parsing does not change the parser, so one per process serves
+# every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verify", description="Run unit proofs against the modeled heap.")

@@ -18,8 +18,13 @@ statistics.  The backends differ only in where each run's tape comes from:
   at that draw, so they are counted as pruned without being run.
 * random: independent seeded runs with boundary-biased draws; an `assume`
   failure aborts and rejects the run.  A random pass is explicitly weaker
-  than an exhaustive pass and the report flags it.
+  than an exhaustive pass and the report flags it.  Each index is drawn
+  from the seeded `random.Random` exactly as `randrange` draws it.
 * replay: one run on a recorded tape, with no draws past its end.
+
+Each run gets a fresh `RunContext` and `Heap`.  `_drive` breaks the
+reference cycle between them when the run ends, so both are freed by
+reference counting then, not by the cyclic garbage collector.
 
 A run checks every prefix entry against the domain the proof draws, so a
 proof that is not a deterministic function of its tape raises
@@ -281,12 +286,34 @@ def _past_tape_end(pos: int, n: int) -> int:
         f"proof drew choice #{pos + 1} but tape has only {pos} entries")
 
 
+# Builds a TapeEntry from its two fields without the keyword-argument
+# handling of the generated constructor.
+_new_entry = tuple.__new__
+
+
+def _raise_mismatch(pos: int, entry: TapeEntry, domain: Domain):
+    if entry.kind != domain.kind:
+        raise ReplayMismatchError(
+            f"tape entry #{pos + 1} is {entry.kind}, proof drew {domain.kind}")
+    raise ReplayMismatchError(
+        f"tape entry #{pos + 1} index {entry.index} outside "
+        f"{domain.kind} domain of {len(domain.values)} values")
+
+
 def _random_index(rng: random.Random) -> Callable[[int, int], int]:
+    rand, getrandbits = rng.random, rng.getrandbits
+
     def extend(pos: int, n: int) -> int:
         # Boundary bias: a quarter of draws snap to a domain endpoint.
-        if n > 1 and rng.random() < 0.25:
-            return 0 if rng.random() < 0.5 else n - 1
-        return rng.randrange(n)
+        if n > 1 and rand() < 0.25:
+            return 0 if rand() < 0.5 else n - 1
+        # `rng.randrange(n)`, drawn as `random.Random` draws it: the same
+        # rng calls, so the same stream and the same tapes.
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
     return extend
 
 
@@ -297,11 +324,14 @@ class RunContext:
     fixed/buggy variant selection.  One context lives for exactly one path.
     Draws follow `prefix`, each entry checked against the drawn domain's
     kind and size, and `extend` picks every draw past it.
+
+    The heap draws havocked bytes through `choice`, so the context and its
+    heap refer to each other.  `_drive` breaks that cycle when the run
+    ends, so both are freed by reference counting.
     """
 
-    # Position -> bound of each `choice_below` draw.  The first such draw
-    # creates the instance's own dict, so other runs never build one.
-    bounds: dict[int, int] | None = None
+    __slots__ = ("cfg", "_buggy", "_prefix", "_followed", "_max_choices", "_extend",
+                 "_trace", "taken", "sizes", "hits", "bounds", "_wild_count", "heap")
 
     def __init__(self, cfg: ExploreConfig, *, buggy: frozenset[str] = frozenset(),
                  prefix: Sequence[TapeEntry] = (),
@@ -310,11 +340,18 @@ class RunContext:
         self.cfg = cfg
         self._buggy = buggy
         self._prefix = prefix
+        self._max_choices = cfg.max_choices_per_path
+        # Draws below this position follow the prefix; a draw at or past
+        # max_choices_per_path exceeds the budget before it reads the tape.
+        self._followed = min(len(prefix), self._max_choices)
         self._extend = extend
         self._trace = trace
         self.taken: list[TapeEntry] = []
         self.sizes: list[int] = []
         self.hits: dict[str, int] = {}
+        # Position -> bound of each `choice_below` draw, created by the
+        # first such draw, so other runs never build one.
+        self.bounds: dict[int, int] | None = None
         self._wild_count = 0
         # Havocked bytes are drawn from the configured byte domain.
         self.heap = Heap(cfg.heap, byte_source=functools.partial(self.choice, cfg.byte_dom))
@@ -322,24 +359,21 @@ class RunContext:
     # -- draws --------------------------------------------------------------
 
     def choice(self, domain: Domain):
-        pos = len(self.taken)
-        if pos >= self.cfg.max_choices_per_path:
-            raise ChoiceBudgetExceeded()
-        n = len(domain.values)
-        if pos < len(self._prefix):
+        taken = self.taken
+        pos = len(taken)
+        values = domain.values
+        n = len(values)
+        if pos < self._followed:
             entry = self._prefix[pos]
-            if entry.kind != domain.kind:
-                raise ReplayMismatchError(
-                    f"tape entry #{pos + 1} is {entry.kind}, proof drew {domain.kind}")
-            if not 0 <= entry.index < n:
-                raise ReplayMismatchError(
-                    f"tape entry #{pos + 1} index {entry.index} outside "
-                    f"{domain.kind} domain of {n} values")
+            if entry.kind != domain.kind or not 0 <= entry.index < n:
+                _raise_mismatch(pos, entry, domain)
+        elif pos >= self._max_choices:
+            raise ChoiceBudgetExceeded()
         else:
-            entry = TapeEntry(domain.kind, self._extend(pos, n))
-        self.taken.append(entry)
+            entry = _new_entry(TapeEntry, (domain.kind, self._extend(pos, n)))
+        taken.append(entry)
         self.sizes.append(n)
-        value = domain.values[entry.index]
+        value = values[entry.index]
         if self._trace is not None:
             self._trace.append(f"choice {pos + 1}: {domain.kind}[{n}] -> "
                                f"index {entry.index} ({value!r})")
@@ -503,6 +537,9 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
             if trace is not None:
                 trace.extend(traceback.format_exc().splitlines())
             failure = Verdict(VERDICT_FAIL, message=f"proof raised {type(e).__name__}: {e}")
+        # Break the context <-> heap cycle, so the run is freed as soon as
+        # `ctx` is rebound.
+        ctx.heap.byte_source = None
         if exhaustive and ctx.bounds is not bounds:  # not both None
             was, now = (_bounds_on_prefix(b, len(prefix)) for b in (bounds, ctx.bounds))
             if was != now:
@@ -510,8 +547,9 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
                     f"draw bounds (position: bound) on a recorded prefix changed "
                     f"from {was} to {now}")
         depth = max(depth, len(ctx.taken))
-        for sid, n in ctx.hits.items():
-            hits[sid] = hits.get(sid, 0) + n
+        if ctx.hits:
+            for sid, n in ctx.hits.items():
+                hits[sid] = hits.get(sid, 0) + n
         if failure is not None:
             break
         if exhaustive:

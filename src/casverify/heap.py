@@ -188,15 +188,16 @@ class Heap:
     # -- allocation -------------------------------------------------------
 
     def alloc(self, size: int) -> Pointer:
-        self._check_latch()
+        if self.fault is not None:
+            raise MemoryFaultError(self.fault)
         if size < 0:
             raise ValueError("negative allocation size")
         if size == 0 and self.config.zero_alloc_returns_null:
             return NULL_PTR
-        a = Allocation(self._next_id, size)
-        self._next_id += 1
-        self.allocations[a.id] = a
-        return Pointer.valid(a.id, 0)
+        alloc_id = self._next_id
+        self._next_id = alloc_id + 1
+        self.allocations[alloc_id] = Allocation(alloc_id, size)
+        return _new_ptr(Pointer, (_VALID, alloc_id, 0, ""))
 
     def free(self, p: Pointer, loc: str = "free"):
         self._check_latch()

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -133,6 +134,25 @@ def test_matrix_random_advisory(capsys):
     advisory = run_cli("matrix", "--backend", "random", "--random-budget", "10",
                        "--seed", "1", "--advisory")
     assert advisory == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "--backend", "random", "--max-bound", "2", "--random-budget", "300"),
+    ("run", "--check-expected", "--max-bound", "2", "--report", "markdown"),
+], ids=["random_matrix", "exhaustive_run"])
+def test_in_process_call_leaves_no_cyclic_garbage(argv, capsys):
+    # Runs and the argument parser are freed by reference counting, so
+    # repeated in-process calls give the cyclic collector nothing to do.
+    run_cli(*argv)
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        run_cli(*argv)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_cas_seed_env_overrides_flag(tmp_path, monkeypatch):

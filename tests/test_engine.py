@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +21,11 @@ from casverify.engine import (
     ExploreConfig,
     ReplayMismatchError,
     TapeEntry,
+    _random_index,
     explore,
     replay,
 )
+from casverify.corpus import register_corpus
 from casverify.heap import FaultKind
 
 from oracles import oracle_explore
@@ -193,6 +198,14 @@ def test_choice_budget_truncates_path():
     assert report.paths_truncated >= 1
 
 
+def test_replayed_tape_past_choice_budget_truncates():
+    # The budget holds on the tape's own entries too, not only past them.
+    tape = ChoiceTape((TapeEntry(KIND_SIZET, 0),) * 3)
+    rep = replay(proof_three_choices_fail_once, tape, exh(max_choices_per_path=2))
+    assert (rep.verdict.status, rep.paths_truncated, rep.max_choice_depth) == (
+        "budget_exhausted", 1, 2)
+
+
 def test_truncated_run_hits_count_under_both_backends():
     def proof(ctx):
         while True:
@@ -244,6 +257,58 @@ def test_random_fail_replays_to_fail():
                    rnd(seed=11, size_bound=1))
     assert again.verdict.is_fail
     assert again.verdict.failed_site == report.verdict.failed_site
+
+
+def _randrange_index(rng, n):
+    """Reference for `_random_index`: the same boundary bias, then
+    `randrange(n)`."""
+    if n > 1 and rng.random() < 0.25:
+        return 0 if rng.random() < 0.5 else n - 1
+    return rng.randrange(n)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_extender_follows_randrange_stream(seed):
+    rng, twin = random.Random(seed), random.Random(seed)
+    extend = _random_index(rng)
+    sizes = [1 + i % 300 for i in range(1000)]  # every n in 1..300
+    assert ([extend(pos, n) for pos, n in enumerate(sizes)]
+            == [_randrange_index(twin, n) for n in sizes])
+    assert rng.getstate() == twin.getstate()
+
+
+# -- run lifetime -------------------------------------------------------------------------
+
+def test_runs_are_freed_by_reference_counting():
+    # The heap draws havocked bytes through its context, so each run's
+    # context and heap form a cycle until the run ends.  With the cyclic
+    # collector off, every heap must still be gone once its run is over.
+    entry = next(e for e in register_corpus() if e.name == "pq_s_swap")
+    heaps, tapes = [], []
+
+    def body(ctx):
+        heaps.append(weakref.ref(ctx.heap))
+        tapes.append(ctx.taken)
+        entry.body(ctx)
+
+    def failing(ctx):
+        heaps.append(weakref.ref(ctx.heap))
+        proof_wild_deref(ctx)
+
+    cfg = exh(size_bound=2)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        assert explore(body, cfg).paths_explored == 675
+        explore(body, rnd(size_bound=2, random_budget=100))
+        assert replay(body, ChoiceTape(tuple(tapes[-1])), cfg).verdict.is_pass
+        assert explore(failing, cfg).verdict.is_fail
+        assert len(heaps) == 678 + 100 + 1 + 2
+        alive = sum(r() is not None for r in heaps)
+        assert alive == 0, f"{alive} of {len(heaps)} heaps outlived their run"
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # -- replay ---------------------------------------------------------------------------

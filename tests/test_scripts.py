@@ -12,19 +12,38 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.pop("CAS_SEED", None)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("script,args", [
     ("random_seed_sweep.py", ["--seeds", "1", "--random-budget", "200"]),
     ("run_detection_matrix.py", ["--max-bound", "2", "--random-budget", "200"]),
 ])
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    env.pop("CAS_SEED", None)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = _run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert "bug1" in proc.stdout
+
+
+@pytest.mark.parametrize("script,args,message", [
+    ("random_seed_sweep.py", ["--seeds", "0"], "--seeds must be positive"),
+    ("random_seed_sweep.py", ["--seeds", "-2"], "--seeds must be positive"),
+    ("random_seed_sweep.py", ["--random-budget", "0"], "random_budget must be positive"),
+    ("run_detection_matrix.py", ["--random-budget", "0"],
+     "random_budget must be positive"),
+])
+def test_script_bad_input_exit_2(script, args, message):
+    # Rejected before any proof runs: a usage message, not a traceback.
+    proc = _run_script(script, args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_report_digest_smoke(monkeypatch):
