@@ -7,8 +7,9 @@ stub trick) are only expressible through the heap.  Each struct is a
 `Record` subclass that declares its layout once, as a size and a field
 table.
 
-Helpers with a seeded bug exist in fixed and buggy variants selected per
-run (see speclib.VariantFlag).
+Helpers with a seeded bug exist in fixed and buggy variants: each asks
+`ctx.is_buggy("<helper name>")`, so the run's buggy set selects the
+variant.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from enum import Enum
 from .engine import Domain, RunContext, U64_MAX
 from .heap import NULL_PTR, Pointer, ptr_field, u64_field
 from . import speclib as sl
-from .speclib import BUGGY, FIXED, VariantFlag, resolve_variant
 
 ALLOCATOR_TAG = 0xA110C
 
@@ -51,15 +51,13 @@ class ByteBuf(Record):
     allocator = u64_field(24)
 
 
-def byte_buf_is_valid(ctx: RunContext, bufp: Pointer,
-                      variant: VariantFlag | None = None) -> bool:
+def byte_buf_is_valid(ctx: RunContext, bufp: Pointer) -> bool:
     """Representation invariant of byte_buf.
 
     Fixed: null buffer iff zero capacity, len bounded by capacity, and the
     whole capacity is dereferenceable.  Buggy: only the first `len` bytes
     are required dereferenceable, which wrongly admits a null buffer with
     len == 0 and capacity > 0.  Pure predicate; never faults."""
-    v = resolve_variant(ctx, "byte_buf_is_valid", variant)
     h = ctx.heap
     if not h.is_init(bufp, ByteBuf.SIZE):
         return False
@@ -67,7 +65,7 @@ def byte_buf_is_valid(ctx: RunContext, bufp: Pointer,
     cap, length, buf = b.capacity, b.len, b.buffer
     if cap == 0 and length == 0 and buf.is_null:
         return True
-    writable = length if v is BUGGY else cap
+    writable = length if ctx.is_buggy("byte_buf_is_valid") else cap
     return cap > 0 and length <= cap and h.is_deref(buf, writable)
 
 
@@ -169,12 +167,13 @@ def pq_s_swap(ctx: RunContext, containerp: Pointer, a: int, b: int) -> None:
     ctx.heap.write(pb, bytes_a, loc="pq_s_swap")
 
 
-def pq_s_swap_postcondition(ob_i: int, a: int, b: int, item_sz: int,
-                            variant: VariantFlag) -> bool:
+def pq_s_swap_postcondition(ctx: RunContext, ob_i: int, a: int, b: int,
+                            item_sz: int) -> bool:
     """Guard meant to select bytes outside the swapped items.  The buggy
-    form conjoins `below item` with `at-or-above item end`, which no byte
-    index satisfies, so whatever it guards can never execute."""
-    if variant is BUGGY:
+    form (`pq_swap_postcondition` in the buggy set) conjoins `below item`
+    with `at-or-above item end`, which no byte index satisfies, so whatever
+    it guards can never execute."""
+    if ctx.is_buggy("pq_swap_postcondition"):
         return (ob_i < a * item_sz and ob_i >= (a + 1) * item_sz) and \
                (ob_i < b * item_sz and ob_i >= (b + 1) * item_sz)
     return (ob_i < a * item_sz or ob_i >= (a + 1) * item_sz) and \
@@ -215,23 +214,14 @@ def add_overflow_predicate(a: int, b: int) -> bool:
 # linked list stubs
 # =========================================================================
 
-NODE_SIZE = 16           # prev @0, next @8
 LIST_SIZE = 32           # head node @0, tail node @16
 _HEAD_OFF, _TAIL_OFF = 0, 16
-_NEXT_OFF, _PREV_OFF = 8, 0
 
 
-class StubShape(Enum):
-    FROM_HEAD = "from_head"
-    FROM_TAIL = "from_tail"
-    BOTH_ENDS = "both_ends"
-
-
-@dataclass(frozen=True)
-class SizeToken:
-    """Opaque stand-in for the unknown length of a partially built list."""
-    shape: StubShape
-    empty: bool
+class Node(Record):
+    SIZE = 16
+    prev = ptr_field(0)
+    next = ptr_field(8)
 
 
 @dataclass(frozen=True)
@@ -239,11 +229,6 @@ class SavedNode:
     ptr: Pointer
     prev: Pointer
     next: Pointer
-
-
-@dataclass(frozen=True)
-class SavedNodes:
-    nodes: tuple[SavedNode, ...]
 
 
 def head_node(listp: Pointer) -> Pointer:
@@ -254,121 +239,82 @@ def tail_node(listp: Pointer) -> Pointer:
     return listp.add(_TAIL_OFF)
 
 
-def node_next(ctx: RunContext, nodep: Pointer) -> Pointer:
-    return ctx.heap.read_ptr(nodep.add(_NEXT_OFF))
+def nd_init_linked_list(ctx: RunContext, listp: Pointer) -> Pointer:
+    """Build a partially defined list stub of nondeterministic length and
+    return its first node (the tail sentinel when the list is empty).
+
+    One concrete node is attached after the head; the link leading onward
+    and the tail's prev link are nondet pointers (null or wild), so any
+    operation that walks past the concrete frontier either never touches
+    it or raises a memory fault.  The proof stays loop-free and its cost
+    is independent of the list length being modeled.  One extra boolean
+    selects the empty shape so that a `not empty` precondition is
+    exercisable."""
+    head, tail = Node(ctx, head_node(listp)), Node(ctx, tail_node(listp))
+    head.prev = NULL_PTR
+    tail.next = NULL_PTR
+    if sl.nd_bool(ctx):
+        head.next = tail.ptr
+        tail.prev = head.ptr
+        return tail.ptr
+    n = Node(ctx, ctx.heap.alloc(Node.SIZE))
+    n.prev = head.ptr
+    n.next = sl.nd_voidp(ctx)
+    head.next = n.ptr
+    tail.prev = sl.nd_voidp(ctx)
+    return n.ptr
 
 
-def node_prev(ctx: RunContext, nodep: Pointer) -> Pointer:
-    return ctx.heap.read_ptr(nodep.add(_PREV_OFF))
-
-
-def set_node_next(ctx: RunContext, nodep: Pointer, value: Pointer):
-    ctx.heap.write_ptr(nodep.add(_NEXT_OFF), value)
-
-
-def set_node_prev(ctx: RunContext, nodep: Pointer, value: Pointer):
-    ctx.heap.write_ptr(nodep.add(_PREV_OFF), value)
-
-
-def nd_init_linked_list(ctx: RunContext, listp: Pointer,
-                        shape: StubShape = StubShape.FROM_HEAD
-                        ) -> tuple[Pointer, SizeToken]:
-    """Build a partially defined list stub of nondeterministic length.
-
-    At each accessed end one concrete node is attached; the link leading
-    onward is a nondet pointer (null or wild), so any operation that walks
-    past the concrete frontier either never touches it or raises a memory
-    fault.  The proof stays loop-free and its cost is independent of the
-    list length being modeled.  One extra boolean selects the empty shape
-    so that a `not empty` precondition is exercisable."""
-    head, tail = head_node(listp), tail_node(listp)
-    set_node_prev(ctx, head, NULL_PTR)
-    set_node_next(ctx, tail, NULL_PTR)
-    empty = sl.nd_bool(ctx)
-    if empty:
-        set_node_next(ctx, head, tail)
-        set_node_prev(ctx, tail, head)
-        return node_next(ctx, head), SizeToken(shape, True)
-    if shape in (StubShape.FROM_HEAD, StubShape.BOTH_ENDS):
-        n = ctx.heap.alloc(NODE_SIZE)
-        set_node_prev(ctx, n, head)
-        set_node_next(ctx, n, sl.nd_voidp(ctx))
-        set_node_next(ctx, head, n)
-    else:
-        set_node_next(ctx, head, sl.nd_voidp(ctx))
-    if shape in (StubShape.FROM_TAIL, StubShape.BOTH_ENDS):
-        m = ctx.heap.alloc(NODE_SIZE)
-        set_node_next(ctx, m, tail)
-        set_node_prev(ctx, m, sl.nd_voidp(ctx))
-        set_node_prev(ctx, tail, m)
-    else:
-        set_node_prev(ctx, tail, sl.nd_voidp(ctx))
-    first = node_next(ctx, head) if shape is not StubShape.FROM_TAIL \
-        else node_prev(ctx, tail)
-    return first, SizeToken(shape, False)
-
-
-def nd_init_linked_list_from_head(ctx, listp):
-    return nd_init_linked_list(ctx, listp, StubShape.FROM_HEAD)
-
-
-def _walk_concrete(ctx: RunContext, start: Pointer) -> list[SavedNode]:
-    """Record (identity, prev, next) of nodes reachable over next links
-    without ever dereferencing a nondet pointer."""
+def linked_list_save(ctx: RunContext, start: Pointer) -> tuple[SavedNode, ...]:
+    """Snapshot (identity, prev, next) of the nodes reachable from `start`
+    over next links, without ever dereferencing a nondet pointer, and start
+    modification tracking; the matching is_unchanged check closes the
+    frame."""
     h = ctx.heap
     nodes: list[SavedNode] = []
     seen: set[Pointer] = set()
     cur = start
-    while h.is_deref(cur, NODE_SIZE) and cur not in seen:
+    while h.is_deref(cur, Node.SIZE) and cur not in seen:
         seen.add(cur)
-        prev = node_prev(ctx, cur)
-        nxt = node_next(ctx, cur)
-        nodes.append(SavedNode(cur, prev, nxt))
-        cur = nxt
+        node = Node(ctx, cur)
+        prev = node.prev
+        cur = node.next
+        nodes.append(SavedNode(node.ptr, prev, cur))
         if cur.is_null or cur.is_wild:
             break
-    return nodes
+    h.tracking_on()
+    return tuple(nodes)
 
 
-def linked_list_save_to_tail(ctx: RunContext, listp: Pointer, size: SizeToken,
-                             start: Pointer) -> SavedNodes:
-    """Snapshot the concrete head-side nodes and start modification
-    tracking; the matching is_unchanged check closes the frame."""
-    nodes = _walk_concrete(ctx, start)
-    ctx.heap.tracking_on()
-    return SavedNodes(tuple(nodes))
-
-
-def linked_list_is_unchanged(ctx: RunContext, listp: Pointer,
-                             saved: SavedNodes) -> bool:
+def linked_list_is_unchanged(ctx: RunContext, saved: tuple[SavedNode, ...]) -> bool:
     """True iff no saved node's bytes were written since the save (epoch
     check: rewriting a link with its old value counts as a change) and the
     recorded links still hold."""
-    for rec in saved.nodes:
-        if ctx.heap.is_mod(rec.ptr, NODE_SIZE):
+    for rec in saved:
+        if ctx.heap.is_mod(rec.ptr, Node.SIZE):
             return False
-        if node_prev(ctx, rec.ptr) != rec.prev or node_next(ctx, rec.ptr) != rec.next:
+        node = Node(ctx, rec.ptr)
+        if node.prev != rec.prev or node.next != rec.next:
             return False
     return True
 
 
-linked_list_is_unchanged_to_tail = linked_list_is_unchanged
-
-
 def linked_list_empty(ctx: RunContext, listp: Pointer) -> bool:
-    return node_next(ctx, head_node(listp)) == tail_node(listp)
+    return Node(ctx, head_node(listp)).next == tail_node(listp)
 
 
 def linked_list_front(ctx: RunContext, listp: Pointer) -> Pointer:
     """Return the first node.  Reads head.next and nothing else; the stub's
     wild frontier turns any deeper touch into a fault."""
-    return node_next(ctx, head_node(listp))
+    return Node(ctx, head_node(listp)).next
 
 
-def linked_list_node_prev_is_valid(ctx: RunContext, nodep: Pointer) -> bool:
-    p = node_prev(ctx, nodep)
-    return (not p.is_null) and ctx.heap.is_deref(p, NODE_SIZE) \
-        and node_next(ctx, p) == nodep
+def linked_list_prev_is_valid(ctx: RunContext, nodep: Pointer) -> bool:
+    """True iff the node's prev link leads to a live node whose next link
+    points back to it."""
+    p = Node(ctx, nodep).prev
+    return (not p.is_null) and ctx.heap.is_deref(p, Node.SIZE) \
+        and Node(ctx, p).next == nodep
 
 
 # =========================================================================
@@ -395,6 +341,10 @@ class HashState(Record):
         return self.heap.read_u64(self.entry(i))
 
 
+# Per-slot hash code: empty or occupied.
+_HASH_CODES = Domain.custom((0, 1))
+
+
 def nd_init_hash_table(ctx: RunContext, num_slots: int) -> Pointer:
     """Nondet table state: per-slot hash codes drawn from {0, nonzero},
     entry_count drawn independently.  Nothing ties the two together; the
@@ -404,7 +354,7 @@ def nd_init_hash_table(ctx: RunContext, num_slots: int) -> Pointer:
     slotsp = ctx.heap.alloc(num_slots * HashEntry.SIZE)
     for i in range(num_slots):
         e = HashEntry(ctx, slotsp.add(i * HashEntry.SIZE))
-        e.hash_code = ctx.choice(Domain.custom((0, 1)))
+        e.hash_code = ctx.choice(_HASH_CODES)
         e.key = NULL_PTR
         e.value = NULL_PTR
     st.entry_count = sl.nd_size_t(ctx)
@@ -439,20 +389,17 @@ class IterDecision(Enum):
     DELETE = "delete"
 
 
-def hash_iter_delete(ctx: RunContext, it: HashIter,
-                     variant: VariantFlag | None = None) -> None:
+def hash_iter_delete(ctx: RunContext, it: HashIter) -> None:
     """Delete the entry under the iterator.  The buggy stub clears the hash
     code but forgets to decrement entry_count.  Entry payloads are not
     modeled."""
-    v = resolve_variant(ctx, "hash_iter_delete", variant)
     st = HashState(ctx, it.statep)
     ctx.heap.write_u64(st.entry(it.slot), 0, loc="hash_iter_delete")
-    if v is FIXED:
+    if not ctx.is_buggy("hash_iter_delete"):
         st.entry_count = st.entry_count - 1
 
 
-def hash_table_foreach(ctx: RunContext, statep: Pointer, callback,
-                       variant: VariantFlag | None = None) -> None:
+def hash_table_foreach(ctx: RunContext, statep: Pointer, callback) -> None:
     """Visit every occupied entry; a DELETE decision routes through the
     hash_iter_delete stub."""
     st = HashState(ctx, statep)
@@ -460,7 +407,7 @@ def hash_table_foreach(ctx: RunContext, statep: Pointer, callback,
         if st.entry_hash(i) != 0:
             it = HashIter(statep, i)
             if callback(ctx, it) is IterDecision.DELETE:
-                hash_iter_delete(ctx, it, variant=variant)
+                hash_iter_delete(ctx, it)
 
 
 # =========================================================================
@@ -533,16 +480,14 @@ def hash_callback_string_eq(ctx: RunContext, s1p: Pointer, s2p: Pointer) -> bool
 # zeroed-memory check
 # =========================================================================
 
-def is_mem_zeroed(ctx: RunContext, p: Pointer, bufsize: int,
-                  variant: VariantFlag | None = None) -> bool:
+def is_mem_zeroed(ctx: RunContext, p: Pointer, bufsize: int) -> bool:
     """True iff all bufsize bytes are zero.
 
     The buggy variant reads 8-byte chunks through a u64-typed access, which
     trips the effective-type check when the buffer was written byte-wise;
     the fixed variant copies chunks with untyped reads."""
-    v = resolve_variant(ctx, "is_mem_zeroed", variant)
     h = ctx.heap
-    if v is BUGGY:
+    if ctx.is_buggy("is_mem_zeroed"):
         for i in range(bufsize // 8):
             if h.typed_read_u64(p.add(i * 8), loc="is_mem_zeroed") != 0:
                 return False

@@ -96,7 +96,7 @@ def config_from_args(args) -> ExploreConfig:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "byte_domain", None):
+    if getattr(args, "byte_domain", None) is not None:
         try:
             overrides["byte_domain"] = tuple(
                 int(x, 0) for x in args.byte_domain.split(","))

@@ -41,7 +41,7 @@ from .awsport import (
     ArrayList,
     ByteBuf,
     LIST_SIZE,
-    NODE_SIZE,
+    Node,
     OP_SUCCESS,
     array_list_get_at_ptr,
     array_list_is_valid,
@@ -56,16 +56,13 @@ from .awsport import (
     is_mem_zeroed,
     linked_list_empty,
     linked_list_front,
-    linked_list_is_unchanged_to_tail,
-    linked_list_node_prev_is_valid,
-    linked_list_save_to_tail,
+    linked_list_is_unchanged,
+    linked_list_prev_is_valid,
+    linked_list_save,
     nd_init_aws_string,
     nd_init_aws_string_weak,
     nd_init_hash_table,
-    nd_init_linked_list_from_head,
-    node_next,
-    set_node_next,
-    set_node_prev,
+    nd_init_linked_list,
     tail_node,
     AwsString,
     IterDecision,
@@ -88,7 +85,6 @@ from .engine import (
     explore,
 )
 from .heap import NULL_PTR, FaultKind
-from .speclib import FIXED, resolve_variant
 from .vacuity import (
     STATUS_FAIL,
     STATUS_PASS,
@@ -247,7 +243,7 @@ def _proof_assert_bytes_match_empty(ctx: RunContext):
     buf.capacity = n
     buf.buffer = sl.can_fail_malloc(ctx, n)
     buf.allocator = ALLOCATOR_TAG
-    ctx.assume(byte_buf_is_valid(ctx, bufp, FIXED))
+    ctx.assume(byte_buf_is_valid(ctx, bufp))
     if n:
         ctx.heap.write(buf.buffer, ctx.heap.read(strbytes, n))
     sl.assert_bytes_match(ctx, strbytes, buf.buffer, n)
@@ -300,8 +296,7 @@ def _proof_pq_s_swap(ctx: RunContext):
     ob_i = sl.nd_size_t_below(ctx, total)
     old = ctx.heap.read(data.add(ob_i), 1)
     pq_s_swap(ctx, qp, a, b)
-    variant = resolve_variant(ctx, "pq_swap_postcondition", None)
-    if pq_s_swap_postcondition(ob_i, a, b, item_sz, variant):
+    if pq_s_swap_postcondition(ctx, ob_i, a, b, item_sz):
         ctx.sassert(S_PQ_EQUIV, ctx.heap.read(data.add(ob_i), 1) == old)
     ctx.sassert(S_PQ_POST, array_list_is_valid(ctx, qp))
 
@@ -346,39 +341,39 @@ def _proof_is_mem_zeroed(ctx: RunContext):
 
 def _proof_linked_list_front_stub(ctx: RunContext):
     listp = ctx.heap.alloc(LIST_SIZE)
-    first, size = nd_init_linked_list_from_head(ctx, listp)
-    saved = linked_list_save_to_tail(ctx, listp, size, head_node(listp))
+    first = nd_init_linked_list(ctx, listp)
+    saved = linked_list_save(ctx, head_node(listp))
     # function under proof does not accept an empty list
     ctx.assume(not linked_list_empty(ctx, listp))
     front = linked_list_front(ctx, listp)
     ctx.sassert(S_LLF_EQ, front == first
-                and front == node_next(ctx, head_node(listp)))
-    ctx.sassert(S_LLF_PREV, linked_list_node_prev_is_valid(ctx, front))
-    ctx.sassert(S_LLF_UNCH, linked_list_is_unchanged_to_tail(ctx, listp, saved))
+                and front == Node(ctx, head_node(listp)).next)
+    ctx.sassert(S_LLF_PREV, linked_list_prev_is_valid(ctx, front))
+    ctx.sassert(S_LLF_UNCH, linked_list_is_unchanged(ctx, saved))
 
 
 def _proof_linked_list_front_loop(ctx: RunContext):
     listp = ctx.heap.alloc(LIST_SIZE)
-    head, tail = head_node(listp), tail_node(listp)
+    head, tail = Node(ctx, head_node(listp)), Node(ctx, tail_node(listp))
     size = sl.nd_size_t(ctx)
     ctx.assume(size >= 1)
-    set_node_prev(ctx, head, NULL_PTR)
-    set_node_next(ctx, tail, NULL_PTR)
+    head.prev = NULL_PTR
+    tail.next = NULL_PTR
     prev = head
     for _ in range(size):
-        node = ctx.heap.alloc(NODE_SIZE)
-        set_node_next(ctx, prev, node)
-        set_node_prev(ctx, node, prev)
+        node = Node(ctx, ctx.heap.alloc(Node.SIZE))
+        prev.next = node.ptr
+        node.prev = prev.ptr
         prev = node
-    set_node_next(ctx, prev, tail)
-    set_node_prev(ctx, tail, prev)
-    first = node_next(ctx, head)
+    prev.next = tail.ptr
+    tail.prev = prev.ptr
+    first = head.next
     front = linked_list_front(ctx, listp)
     ctx.sassert(S_LLB_EQ, front == first)
     cur = first
     for _ in range(size):
-        cur = node_next(ctx, cur)
-    ctx.sassert(S_LLB_TAIL, cur == tail)
+        cur = Node(ctx, cur).next
+    ctx.sassert(S_LLB_TAIL, cur == tail.ptr)
 
 
 # -- registry -----------------------------------------------------------------

@@ -177,12 +177,9 @@ class ExploreConfig:
         for name in ("max_paths", "max_choices_per_path", "random_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.byte_domain:
-            raise ValueError("byte_domain must be non-empty")
-        if len(set(self.byte_domain)) != len(self.byte_domain):
-            raise ValueError("byte_domain values must be duplicate-free")
-        if not all(0 <= b <= 0xFF for b in self.byte_domain):
-            raise ValueError("byte_domain values must lie in 0..255")
+        _check_values("byte_domain", self.byte_domain, 0xFF)
+        if self.u64_values is not None:
+            _check_values("u64_values", self.u64_values, U64_MAX)
 
     def u64_domain_values(self) -> tuple[int, ...]:
         if self.u64_values is not None:
@@ -208,6 +205,15 @@ class ExploreConfig:
         if heap_kw:
             cfg = replace(cfg, heap=replace(cfg.heap, **heap_kw))
         return cfg
+
+
+def _check_values(name: str, values: tuple[int, ...], top: int) -> None:
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} values must be duplicate-free")
+    if not all(0 <= v <= top for v in values):
+        raise ValueError(f"{name} values must lie in 0..{top}")
 
 
 VERDICT_PASS = "pass"

@@ -5,33 +5,17 @@ Nondet constructors (`nd_*`), memory helpers (`memhavoc`,
 variants for the seeded-bug corpus.
 
 Variant selection is run configuration, not separate code copies: a helper
-reads its own fixed/buggy flag from the run context unless the caller
-passes one explicitly, which keeps fixed/buggy pairs structurally aligned.
+with a seeded bug asks `ctx.is_buggy("<helper name>")`, and the run's
+buggy set (`explore(..., buggy=...)`, `standalone_context(buggy=...)`)
+answers.  That keeps fixed/buggy pairs structurally aligned.
 """
 
 from __future__ import annotations
 
 import functools
-from enum import Enum
 
 from .engine import AssertionSite, Domain, RunContext
 from .heap import NULL_PTR, Pointer
-
-
-class VariantFlag(Enum):
-    FIXED = "fixed"
-    BUGGY = "buggy"
-
-
-FIXED = VariantFlag.FIXED
-BUGGY = VariantFlag.BUGGY
-
-
-def resolve_variant(ctx: RunContext, helper_name: str,
-                    variant: VariantFlag | None) -> VariantFlag:
-    if variant is not None:
-        return variant
-    return BUGGY if ctx.is_buggy(helper_name) else FIXED
 
 
 # -- nondet constructors ----------------------------------------------------
@@ -108,7 +92,6 @@ def bytes_match_sites(label: str = "assert_bytes_match") -> tuple[AssertionSite,
 
 
 def assert_bytes_match(ctx: RunContext, a: Pointer, b: Pointer, length: int,
-                       variant: VariantFlag | None = None,
                        label: str = "assert_bytes_match") -> None:
     """Assert two byte regions are equivalent.
 
@@ -116,13 +99,12 @@ def assert_bytes_match(ctx: RunContext, a: Pointer, b: Pointer, length: int,
     keeps the helper O(1) and exercises assume-pruning.  The buggy variant
     drops the zero-length escape and wrongly requires an empty string and an
     empty (null) buffer to agree on nullness."""
-    v = resolve_variant(ctx, "assert_bytes_match", variant)
     null_site, byte_site = bytes_match_sites(label)
     null_eq = a.is_null == b.is_null
-    if v is FIXED:
-        ctx.sassert(null_site, length == 0 or null_eq)
-    else:
+    if ctx.is_buggy("assert_bytes_match"):
         ctx.sassert(null_site, null_eq)
+    else:
+        ctx.sassert(null_site, length == 0 or null_eq)
     if length > 0 and not a.is_null and not b.is_null:
         i = nd_size_t_below(ctx, length)
         ctx.sassert(byte_site,

@@ -13,11 +13,10 @@ from casverify.awsport import (
     HashState,
     IterDecision,
     LIST_SIZE,
-    NODE_SIZE,
+    Node,
     OP_ERROR,
     OP_SUCCESS,
     Record,
-    StubShape,
     add_overflow_predicate,
     add_u64_checked,
     array_list_get_at_ptr,
@@ -35,27 +34,27 @@ from casverify.awsport import (
     is_mem_zeroed,
     linked_list_empty,
     linked_list_front,
-    linked_list_is_unchanged_to_tail,
-    linked_list_node_prev_is_valid,
-    linked_list_save_to_tail,
+    linked_list_is_unchanged,
+    linked_list_prev_is_valid,
+    linked_list_save,
     mul_overflows,
     mul_u64_checked,
     nd_init_linked_list,
-    node_next,
-    node_prev,
     pq_s_swap,
     pq_s_swap_postcondition,
-    set_node_next,
-    set_node_prev,
     tail_node,
 )
 from casverify.engine import ExploreConfig, U64_MAX, explore, standalone_context
 from casverify.heap import NULL_PTR, FaultKind, MemoryFaultError
-from casverify.speclib import BUGGY, FIXED
 
 
 def exh(**kw):
     return ExploreConfig(**kw)
+
+
+def fixed_and_buggy(helper, cfg=None):
+    """A fixed and a buggy standalone context for `helper`, in that order."""
+    return (standalone_context(cfg), standalone_context(cfg, buggy=frozenset({helper})))
 
 
 def make_buf(ctx, cap, length, buffer):
@@ -92,40 +91,42 @@ def test_record_fields_lie_inside_size_and_do_not_overlap(cls):
 
 # -- byte_buf -------------------------------------------------------------------
 
-def test_byte_buf_is_valid_empty_state_both_variants(ctx):
-    bufp = make_buf(ctx, 0, 0, NULL_PTR)
-    assert byte_buf_is_valid(ctx, bufp, FIXED)
-    assert byte_buf_is_valid(ctx, bufp, BUGGY)
+def test_byte_buf_is_valid_empty_state_both_variants():
+    for ctx in fixed_and_buggy("byte_buf_is_valid"):
+        assert byte_buf_is_valid(ctx, make_buf(ctx, 0, 0, NULL_PTR))
 
 
-def test_byte_buf_is_valid_null_buffer_nonzero_capacity(ctx):
+def test_byte_buf_is_valid_null_buffer_nonzero_capacity():
     # the seeded-bug crux: capacity 4, len 0, null buffer
-    bufp = make_buf(ctx, 4, 0, NULL_PTR)
-    assert byte_buf_is_valid(ctx, bufp, BUGGY)
-    assert not byte_buf_is_valid(ctx, bufp, FIXED)
+    fixed, buggy = fixed_and_buggy("byte_buf_is_valid")
+    assert byte_buf_is_valid(buggy, make_buf(buggy, 4, 0, NULL_PTR))
+    assert not byte_buf_is_valid(fixed, make_buf(fixed, 4, 0, NULL_PTR))
 
 
-def test_byte_buf_is_valid_null_record(ctx):
-    assert not byte_buf_is_valid(ctx, NULL_PTR, FIXED)
-    assert not byte_buf_is_valid(ctx, NULL_PTR, BUGGY)
+def test_byte_buf_is_valid_null_record():
+    for ctx in fixed_and_buggy("byte_buf_is_valid"):
+        assert not byte_buf_is_valid(ctx, NULL_PTR)
 
 
 def test_byte_buf_is_valid_normal_state(ctx):
     store = ctx.heap.alloc(4)
     bufp = make_buf(ctx, 4, 2, store)
-    assert byte_buf_is_valid(ctx, bufp, FIXED)
+    assert byte_buf_is_valid(ctx, bufp)
     bad = make_buf(ctx, 4, 5, store)
-    assert not byte_buf_is_valid(ctx, bad, FIXED)  # len > capacity
+    assert not byte_buf_is_valid(ctx, bad)  # len > capacity
 
 
-def test_buggy_invariant_weaker_than_fixed(ctx):
+def test_buggy_invariant_weaker_than_fixed():
     # every fixed-valid state is buggy-valid
+    fixed, buggy = fixed_and_buggy("byte_buf_is_valid")
     for cap, length in itertools.product(range(3), range(3)):
         for null_buffer in (True, False):
-            buffer = NULL_PTR if null_buffer else ctx.heap.alloc(max(cap, 1))
-            bufp = make_buf(ctx, cap, length, buffer)
-            if byte_buf_is_valid(ctx, bufp, FIXED):
-                assert byte_buf_is_valid(ctx, bufp, BUGGY)
+            valid = []
+            for ctx in (fixed, buggy):
+                buffer = NULL_PTR if null_buffer else ctx.heap.alloc(max(cap, 1))
+                valid.append(byte_buf_is_valid(ctx, make_buf(ctx, cap, length, buffer)))
+            if valid[0]:
+                assert valid[1]
 
 
 def test_init_byte_buf_assume_style_enumerates_exact_pairs():
@@ -147,9 +148,9 @@ def test_append_preserves_fixed_invariant():
     def proof(ctx):
         bufp = ctx.heap.alloc(ByteBuf.SIZE)
         init_byte_buf(ctx, bufp)
-        ctx.assume(byte_buf_is_valid(ctx, bufp, FIXED))
+        ctx.assume(byte_buf_is_valid(ctx, bufp))
         byte_buf_append_byte(ctx, bufp, 0x41)
-        ctx.sassert("post", byte_buf_is_valid(ctx, bufp, FIXED))
+        ctx.sassert("post", byte_buf_is_valid(ctx, bufp))
 
     assert explore(proof, exh(size_bound=2)).verdict.is_pass
 
@@ -229,14 +230,15 @@ def test_pq_swap_frame_property_epoch_oracle():
 
 
 def test_pq_postcondition_buggy_unsatisfiable():
+    _, buggy = fixed_and_buggy("pq_swap_postcondition")
     for ob_i, a, b, sz in itertools.product(range(12), range(3), range(3), (1, 2, 4)):
-        assert not pq_s_swap_postcondition(ob_i, a, b, sz, BUGGY)
+        assert not pq_s_swap_postcondition(buggy, ob_i, a, b, sz)
 
 
-def test_pq_postcondition_fixed_examples():
-    assert pq_s_swap_postcondition(9, 0, 1, 4, FIXED)
-    assert not pq_s_swap_postcondition(2, 0, 1, 4, FIXED)  # inside item a
-    assert not pq_s_swap_postcondition(5, 0, 1, 4, FIXED)  # inside item b
+def test_pq_postcondition_fixed_examples(ctx):
+    assert pq_s_swap_postcondition(ctx, 9, 0, 1, 4)
+    assert not pq_s_swap_postcondition(ctx, 2, 0, 1, 4)  # inside item a
+    assert not pq_s_swap_postcondition(ctx, 5, 0, 1, 4)  # inside item b
 
 
 # -- checked arithmetic ----------------------------------------------------------------
@@ -280,19 +282,20 @@ def make_table(ctx, hashes, entry_count):
     return st.ptr
 
 
-def test_hash_iter_delete_fixed_vs_buggy(ctx):
-    statep = make_table(ctx, [1], entry_count=1)
-    assert hash_table_is_valid(ctx, statep)
-    hash_iter_delete(ctx, HashIter(statep, 0), variant=FIXED)
-    st = HashState(ctx, statep)
+def test_hash_iter_delete_fixed_vs_buggy():
+    fixed, buggy = fixed_and_buggy("hash_iter_delete")
+    statep = make_table(fixed, [1], entry_count=1)
+    assert hash_table_is_valid(fixed, statep)
+    hash_iter_delete(fixed, HashIter(statep, 0))
+    st = HashState(fixed, statep)
     assert st.entry_count == 0
-    assert hash_table_is_valid(ctx, statep)
+    assert hash_table_is_valid(fixed, statep)
 
-    statep = make_table(ctx, [1], entry_count=1)
-    hash_iter_delete(ctx, HashIter(statep, 0), variant=BUGGY)
-    st = HashState(ctx, statep)
+    statep = make_table(buggy, [1], entry_count=1)
+    hash_iter_delete(buggy, HashIter(statep, 0))
+    st = HashState(buggy, statep)
     assert st.entry_count == 1
-    assert not hash_table_is_valid(ctx, statep)
+    assert not hash_table_is_valid(buggy, statep)
 
 
 def test_hash_iter_delete_underflow_wraps(ctx):
@@ -300,7 +303,7 @@ def test_hash_iter_delete_underflow_wraps(ctx):
     # more nonzero-hash entries than entry_count records
     statep = make_table(ctx, [1], entry_count=0)
     assert not hash_table_is_valid(ctx, statep)
-    hash_iter_delete(ctx, HashIter(statep, 0), variant=FIXED)
+    hash_iter_delete(ctx, HashIter(statep, 0))
     st = HashState(ctx, statep)
     assert st.entry_count == U64_MAX  # wrapped below zero
     assert not hash_table_is_valid(ctx, statep)
@@ -316,12 +319,11 @@ def test_foreach_all_continue_leaves_table(ctx):
 
 def test_foreach_delete_all_enumerated_two_slot_tables():
     for hashes in itertools.product((0, 1), repeat=2):
-        for variant, should_hold in ((FIXED, True), (BUGGY, sum(hashes) == 0)):
-            ctx = standalone_context()
+        fixed, buggy = fixed_and_buggy("hash_iter_delete")
+        for ctx, should_hold in ((fixed, True), (buggy, sum(hashes) == 0)):
             statep = make_table(ctx, list(hashes), entry_count=sum(hashes))
-            hash_table_foreach(ctx, statep,
-                               lambda c, it: IterDecision.DELETE, variant=variant)
-            if variant is FIXED:
+            hash_table_foreach(ctx, statep, lambda c, it: IterDecision.DELETE)
+            if ctx is fixed:
                 assert HashState(ctx, statep).entry_count == 0
             assert hash_table_is_valid(ctx, statep) == should_hold
 
@@ -375,91 +377,77 @@ def test_strong_invariant_guarantees_no_fault():
 
 # -- zeroed-memory check ---------------------------------------------------------------
 
+def zeroed_buffer(ctx, size):
+    p = ctx.heap.alloc(size)
+    ctx.heap.write(p, bytes(size))
+    return p
+
+
 def test_is_mem_zeroed_fixed(ctx):
-    p = ctx.heap.alloc(16)
-    ctx.heap.write(p, bytes(16))
-    assert is_mem_zeroed(ctx, p, 16, FIXED)
+    p = zeroed_buffer(ctx, 16)
+    assert is_mem_zeroed(ctx, p, 16)
     ctx.heap.write(p.add(9), b"\x01")
-    assert not is_mem_zeroed(ctx, p, 16, FIXED)
+    assert not is_mem_zeroed(ctx, p, 16)
 
 
-def test_is_mem_zeroed_handles_tail(ctx):
-    p = ctx.heap.alloc(11)
-    ctx.heap.write(p, bytes(11))
-    assert is_mem_zeroed(ctx, p, 11, FIXED)
-    assert is_mem_zeroed(ctx, p, 11, BUGGY)  # typed check off in this ctx
-    ctx.heap.write(p.add(10), b"\x02")
-    assert not is_mem_zeroed(ctx, p, 11, BUGGY)
+def test_is_mem_zeroed_handles_tail():
+    fixed, buggy = fixed_and_buggy("is_mem_zeroed")  # typed check off
+    assert is_mem_zeroed(fixed, zeroed_buffer(fixed, 11), 11)
+    p = zeroed_buffer(buggy, 11)
+    assert is_mem_zeroed(buggy, p, 11)
+    buggy.heap.write(p.add(10), b"\x02")
+    assert not is_mem_zeroed(buggy, p, 11)
 
 
 def test_is_mem_zeroed_buggy_trips_typed_check():
     cfg = ExploreConfig().with_overrides(typed_access_check=True)
-    ctx = standalone_context(cfg)
-    p = ctx.heap.alloc(16)
-    ctx.heap.write(p, bytes(16))
-    assert is_mem_zeroed(ctx, p, 16, FIXED)  # untyped reads stay fine
+    fixed, buggy = fixed_and_buggy("is_mem_zeroed", cfg)
+    assert is_mem_zeroed(fixed, zeroed_buffer(fixed, 16), 16)  # untyped reads stay fine
+    p = zeroed_buffer(buggy, 16)
     with pytest.raises(MemoryFaultError) as e:
-        is_mem_zeroed(ctx, p, 16, BUGGY)
+        is_mem_zeroed(buggy, p, 16)
     assert e.value.fault.kind is FaultKind.TYPED_ACCESS_VIOLATION
 
 
 # -- linked list stubs --------------------------------------------------------------------
 
-def build_stub_states(shape):
+def build_stub_states():
     states = []
 
     def proof(ctx):
         listp = ctx.heap.alloc(LIST_SIZE)
-        first, token = nd_init_linked_list(ctx, listp, shape)
-        states.append((ctx, listp, first, token))
+        first = nd_init_linked_list(ctx, listp)
+        states.append((ctx, listp, first))
 
     explore(proof, exh())
     return states
 
 
 def test_stub_from_head_shapes():
-    states = build_stub_states(StubShape.FROM_HEAD)
-    empties = [s for s in states if s[3].empty]
-    concrete = [s for s in states if not s[3].empty]
-    assert empties and concrete
-    for ctx, listp, first, _ in empties:
-        assert linked_list_empty(ctx, listp)
+    states = build_stub_states()
+    empties = [s for s in states if linked_list_empty(s[0], s[1])]
+    concrete = [s for s in states if not linked_list_empty(s[0], s[1])]
+    # one empty shape; four concrete ones, two null-or-wild links each
+    assert (len(empties), len(concrete)) == (1, 4)
+    for ctx, listp, first in empties:
         assert first == tail_node(listp)
     nexts = set()
-    for ctx, listp, first, _ in concrete:
-        assert not linked_list_empty(ctx, listp)
-        assert ctx.heap.is_deref(first, NODE_SIZE)
-        assert node_prev(ctx, first) == head_node(listp)
-        frontier = node_next(ctx, first)
+    for ctx, listp, first in concrete:
+        assert ctx.heap.is_deref(first, Node.SIZE)
+        assert Node(ctx, first).prev == head_node(listp)
+        frontier = Node(ctx, first).next
         nexts.add("null" if frontier.is_null else
                   ("wild" if frontier.is_wild else "other"))
     assert nexts == {"null", "wild"}
 
 
-def test_stub_from_tail_and_both_ends():
-    for ctx, listp, first, token in build_stub_states(StubShape.FROM_TAIL):
-        if token.empty:
-            continue
-        assert ctx.heap.is_deref(first, NODE_SIZE)
-        assert node_next(ctx, first) == tail_node(listp)
-        head_frontier = node_next(ctx, head_node(listp))
-        assert head_frontier.is_null or head_frontier.is_wild
-    for ctx, listp, first, token in build_stub_states(StubShape.BOTH_ENDS):
-        if token.empty:
-            continue
-        assert node_prev(ctx, first) == head_node(listp)
-        last = node_prev(ctx, tail_node(listp))
-        assert ctx.heap.is_deref(last, NODE_SIZE)
-        assert node_next(ctx, last) == tail_node(listp)
-
-
 def test_walking_past_frontier_faults_on_wild_branch():
     def proof(ctx):
         listp = ctx.heap.alloc(LIST_SIZE)
-        first, token = nd_init_linked_list(ctx, listp, StubShape.FROM_HEAD)
+        nd_init_linked_list(ctx, listp)
         ctx.assume(not linked_list_empty(ctx, listp))
         front = linked_list_front(ctx, listp)
-        ctx.heap.read(node_next(ctx, front), 1)  # touches the frontier
+        ctx.heap.read(Node(ctx, front).next, 1)  # touches the frontier
 
     report = explore(proof, exh())
     assert report.verdict.is_fail
@@ -468,63 +456,59 @@ def test_walking_past_frontier_faults_on_wild_branch():
 
 def _stub_with_saved(ctx):
     listp = ctx.heap.alloc(LIST_SIZE)
-    head, tail = head_node(listp), tail_node(listp)
-    n = ctx.heap.alloc(NODE_SIZE)
-    set_node_prev(ctx, head, NULL_PTR)
-    set_node_next(ctx, head, n)
-    set_node_prev(ctx, n, head)
-    set_node_next(ctx, n, NULL_PTR)
-    set_node_prev(ctx, tail, NULL_PTR)
-    set_node_next(ctx, tail, NULL_PTR)
-    from casverify.awsport import SizeToken
-    token = SizeToken(StubShape.FROM_HEAD, False)
-    saved = linked_list_save_to_tail(ctx, listp, token, head)
+    head, tail = Node(ctx, head_node(listp)), Node(ctx, tail_node(listp))
+    n = Node(ctx, ctx.heap.alloc(Node.SIZE))
+    head.prev = NULL_PTR
+    head.next = n.ptr
+    n.prev = head.ptr
+    n.next = NULL_PTR
+    tail.prev = NULL_PTR
+    tail.next = NULL_PTR
+    saved = linked_list_save(ctx, head.ptr)
     return listp, n, saved
 
 
 def test_save_then_no_mutation_is_unchanged(ctx):
     listp, n, saved = _stub_with_saved(ctx)
     linked_list_front(ctx, listp)
-    assert linked_list_is_unchanged_to_tail(ctx, listp, saved)
+    assert linked_list_is_unchanged(ctx, saved)
 
 
 def test_rewrite_same_value_pins_epoch_semantics(ctx):
     # structural snapshot says nothing changed; epoch semantics disagrees
     listp, n, saved = _stub_with_saved(ctx)
-    old = node_next(ctx, n)
-    set_node_next(ctx, n, old)
-    assert node_next(ctx, n) == old               # value-comparison oracle
-    assert not linked_list_is_unchanged_to_tail(ctx, listp, saved)
+    old = n.next
+    n.next = old
+    assert n.next == old                          # value-comparison oracle
+    assert not linked_list_is_unchanged(ctx, saved)
 
 
 def test_malicious_pop_detected(ctx):
     listp, n, saved = _stub_with_saved(ctx)
-    set_node_next(ctx, head_node(listp), node_next(ctx, n))  # pops front
-    assert not linked_list_is_unchanged_to_tail(ctx, listp, saved)
+    Node(ctx, head_node(listp)).next = n.next  # pops front
+    assert not linked_list_is_unchanged(ctx, saved)
 
 
 def test_unrelated_write_is_fine(ctx):
     listp, n, saved = _stub_with_saved(ctx)
     other = ctx.heap.alloc(8)
     ctx.heap.write(other, b"12345678")
-    assert linked_list_is_unchanged_to_tail(ctx, listp, saved)
+    assert linked_list_is_unchanged(ctx, saved)
 
 
 def test_save_on_empty_shape_records_head_and_tail(ctx):
     listp = ctx.heap.alloc(LIST_SIZE)
-    head, tail = head_node(listp), tail_node(listp)
-    set_node_prev(ctx, head, NULL_PTR)
-    set_node_next(ctx, head, tail)
-    set_node_prev(ctx, tail, head)
-    set_node_next(ctx, tail, NULL_PTR)
-    from casverify.awsport import SizeToken
-    saved = linked_list_save_to_tail(
-        ctx, listp, SizeToken(StubShape.FROM_HEAD, True), head)
-    assert [rec.ptr for rec in saved.nodes] == [head, tail]
+    head, tail = Node(ctx, head_node(listp)), Node(ctx, tail_node(listp))
+    head.prev = NULL_PTR
+    head.next = tail.ptr
+    tail.prev = head.ptr
+    tail.next = NULL_PTR
+    saved = linked_list_save(ctx, head.ptr)
+    assert [rec.ptr for rec in saved] == [head.ptr, tail.ptr]
 
 
 def test_node_prev_is_valid(ctx):
     listp, n, saved = _stub_with_saved(ctx)
-    assert linked_list_node_prev_is_valid(ctx, n)
-    set_node_next(ctx, head_node(listp), NULL_PTR)
-    assert not linked_list_node_prev_is_valid(ctx, n)
+    assert linked_list_prev_is_valid(ctx, n.ptr)
+    Node(ctx, head_node(listp)).next = NULL_PTR
+    assert not linked_list_prev_is_valid(ctx, n.ptr)

@@ -183,9 +183,10 @@ def test_json_byte_identical_except_wall_time(tmp_path):
     (["--byte-domain", "0,0"], None),
     (["--byte-domain", "x"], None),
     (["--byte-domain", "0,300"], None),
+    (["--byte-domain", ""], None),
     ([], "abc"),
 ], ids=["negative_bound", "duplicate_bytes", "non_integer_bytes",
-        "byte_out_of_range", "non_integer_cas_seed"])
+        "byte_out_of_range", "empty_bytes", "non_integer_cas_seed"])
 def test_bad_config_exit_2(flags, env, tmp_path, monkeypatch, capsys):
     if env is not None:
         monkeypatch.setenv("CAS_SEED", env)

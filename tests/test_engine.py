@@ -21,6 +21,7 @@ from casverify.engine import (
     ExploreConfig,
     ReplayMismatchError,
     TapeEntry,
+    U64_MAX,
     _random_index,
     explore,
     replay,
@@ -427,6 +428,19 @@ def test_config_bounds_validated():
     with pytest.raises(ValueError):
         ExploreConfig(size_bound=-1)
     assert ExploreConfig(size_bound=0).size_bound == 0
+
+
+@pytest.mark.parametrize("values", [(), (1, 1), (-1,), (1 << 70,), (0, U64_MAX + 1)],
+                         ids=["empty", "duplicate", "negative", "too_wide", "max_plus_one"])
+def test_u64_values_validated(values):
+    # Rejected when the config is built, not as a failing verdict later.
+    with pytest.raises(ValueError, match="u64_values"):
+        ExploreConfig(u64_values=values)
+
+
+def test_u64_values_accepts_the_full_range():
+    cfg = ExploreConfig(u64_values=(0, U64_MAX))
+    assert cfg.u64_dom.values == (0, U64_MAX)
 
 
 # -- monotonicity in the size bound ----------------------------------------------------

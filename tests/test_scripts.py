@@ -52,12 +52,16 @@ def test_report_digest_smoke(monkeypatch):
         "report_digest", ROOT / "scripts" / "report_digest.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    lines = mod.report_digests([2], [0])
+    # Bound 3 is the first at which the list-loop proof builds more than
+    # two nodes.
+    lines = mod.report_digests([2, 3], [0])
     assert [label for label, _ in lines] == [
-        "run --check-expected --max-bound 2", "matrix --backend random --seed 0"]
+        "run --check-expected --max-bound 2", "run --check-expected --max-bound 3",
+        "matrix --backend random --seed 0"]
     # The normalized reports must not change.  Regenerate these values with
     # `scripts/report_digest.py` only when behaviour is meant to change.
     assert [sha for _, sha in lines] == [
         "eb5ff83f10cbab51cb364451dd73367168b85711fb7d272437f0b22b96870ca3",
+        "425031c922f0a4cfbf85162134918c65545952de50dee95f62fce13eaf0732c2",
         "62c0359d66659c37aa04c85c986c20396e621565a6ac8bcafd9a46386e47a9ee",
     ]

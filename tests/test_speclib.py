@@ -5,6 +5,9 @@ from casverify.engine import ExploreConfig, explore
 from casverify.heap import FaultKind
 
 
+BUGGY_MATCH = frozenset({"assert_bytes_match"})
+
+
 def exh(**kw):
     return ExploreConfig(**kw)
 
@@ -179,35 +182,30 @@ def _two_buffers(ctx, a_bytes, b_bytes):
 
 
 def test_bytes_match_empty_string_vs_null_buffer():
-    def proof_fixed(ctx):
+    def proof(ctx):
         p = ctx.heap.alloc(1)
         ctx.heap.write(p, b"\x00")
-        sl.assert_bytes_match(ctx, ctx.heap.alloc(0), p, 0, variant=sl.FIXED)
+        sl.assert_bytes_match(ctx, ctx.heap.alloc(0), p, 0)
 
-    def proof_buggy(ctx):
-        p = ctx.heap.alloc(1)
-        ctx.heap.write(p, b"\x00")
-        sl.assert_bytes_match(ctx, ctx.heap.alloc(0), p, 0, variant=sl.BUGGY)
-
-    assert explore(proof_fixed, exh()).verdict.is_pass
-    report = explore(proof_buggy, exh())
+    assert explore(proof, exh()).verdict.is_pass
+    report = explore(proof, exh(), buggy=BUGGY_MATCH)
     assert report.verdict.is_fail
     assert report.verdict.failed_site == "assert_bytes_match:null_eq"
 
 
-@pytest.mark.parametrize("variant", [sl.FIXED, sl.BUGGY])
-def test_bytes_match_identical_buffers(variant):
+@pytest.mark.parametrize("buggy", [frozenset(), BUGGY_MATCH], ids=["fixed", "buggy"])
+def test_bytes_match_identical_buffers(buggy):
     def proof(ctx):
         pa, pb = _two_buffers(ctx, b"abc", b"abc")
-        sl.assert_bytes_match(ctx, pa, pb, 3, variant=variant)
+        sl.assert_bytes_match(ctx, pa, pb, 3)
 
-    assert explore(proof, exh(size_bound=4)).verdict.is_pass
+    assert explore(proof, exh(size_bound=4), buggy=buggy).verdict.is_pass
 
 
 def test_bytes_match_finds_single_differing_index():
     def proof(ctx):
         pa, pb = _two_buffers(ctx, b"axc", b"abc")
-        sl.assert_bytes_match(ctx, pa, pb, 3, variant=sl.FIXED)
+        sl.assert_bytes_match(ctx, pa, pb, 3)
 
     report = explore(proof, exh(size_bound=4))
     assert report.verdict.is_fail
@@ -222,7 +220,7 @@ def test_bytes_match_reflexive_property():
         p = ctx.heap.alloc(max(n, 1))
         if n:
             sl.memhavoc(ctx, p, n)
-        sl.assert_bytes_match(ctx, p, p, n, variant=sl.FIXED)
+        sl.assert_bytes_match(ctx, p, p, n)
 
     assert explore(proof, exh(size_bound=3)).verdict.is_pass
 
