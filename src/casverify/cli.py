@@ -43,8 +43,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--typed-access-check", dest="typed_access_check",
                    action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--warn-dead-assume", dest="warn_dead_assume",
-                   action="store_true", default=None)
     p.add_argument("--variant", choices=["fixed", "buggy"], default="fixed")
 
 
@@ -91,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> ExploreConfig:
     overrides = {}
     for name in ("backend", "size_bound", "max_paths", "max_choices_per_path",
-                 "random_budget", "seed", "malloc_can_fail", "warn_dead_assume",
+                 "random_budget", "seed", "malloc_can_fail",
                  "typed_access_check"):
         value = getattr(args, name, None)
         if value is not None:

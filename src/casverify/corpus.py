@@ -144,9 +144,8 @@ class ProofEntry:
     body: callable
     sites: tuple[AssertionSite, ...]
     cases: tuple[ProofCase, ...]
-    bug_id: str | None = None
+    bug_id: str | None = None             # set: the "buggy" case must expose it
     bug_alias: str | None = None
-    detect_label: str | None = None       # case that must expose the bug
     detect_channel: str | None = None
     base_overrides: dict = field(default_factory=dict)
 
@@ -158,10 +157,10 @@ class ProofEntry:
 
     @property
     def buggy_names(self) -> frozenset[str]:
-        """Canonical buggy-helper assignment: the one the detect case uses."""
-        if self.detect_label is None:
+        """Canonical buggy-helper assignment: the one the "buggy" case uses."""
+        if self.bug_id is None:
             return frozenset()
-        return self.case(self.detect_label).buggy
+        return self.case("buggy").buggy
 
     def free_case(self, variant: str) -> ProofCase:
         """Unchecked case for CLI free runs: fixed or the entry's buggy set."""
@@ -403,7 +402,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_BB_POST,),
             bug_id="bug1",
             bug_alias="invariant too weak",
-            detect_label="buggy",
             detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
@@ -424,7 +422,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=sl.bytes_match_sites(),
             bug_id="bug2",
             bug_alias="missing zero-length case",
-            detect_label="buggy",
             detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
@@ -459,7 +456,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_MUL_EXACT, S_MUL_OVF),
             bug_id="bug3",
             bug_alias="wrong overflow predicate",
-            detect_label="buggy",
             detect_channel=CHANNEL_COUNTEREXAMPLE,
             base_overrides={"u64_values": (0, 1, 2, (1 << 32) - 1, 1 << 33, U64_MAX)},
             cases=(
@@ -481,7 +477,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_PQ_EQUIV, S_PQ_POST),
             bug_id="bug4",
             bug_alias="dead postcondition guard",
-            detect_label="buggy",
             detect_channel=CHANNEL_VACUITY,
             cases=(
                 ProofCase("fixed", _PASS),
@@ -502,7 +497,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_HCS_LEN,) + sl.bytes_match_sites("hash_string_eq"),
             bug_id="bug5",
             bug_alias="weak string precondition",
-            detect_label="buggy",
             detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
@@ -521,7 +515,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_HT_POST,),
             bug_id="bug6",
             bug_alias="stale specification stub",
-            detect_label="buggy",
             detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
@@ -540,7 +533,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_ZERO_RESULT,),
             bug_id="bug7",
             bug_alias="type-punned read",
-            detect_label="buggy",
             detect_channel=CHANNEL_COUNTEREXAMPLE,
             base_overrides={"typed_access_check": True},
             cases=(
@@ -672,7 +664,7 @@ def run_matrix(base_cfg: ExploreConfig,
     for entry in entries or register_corpus():
         if entry.bug_id is None:
             continue
-        result = run_case(entry, entry.case(entry.detect_label), base_cfg)
+        result = run_case(entry, entry.case("buggy"), base_cfg)
         results.append(result)
         ce = CELL_DETECTED if result.report.verdict.is_fail else CELL_MISSED
         if result.report.verdict.is_fail:

@@ -168,7 +168,6 @@ class ExploreConfig:
     random_budget: int = 10_000
     seed: int = 0
     malloc_can_fail: bool = True
-    warn_dead_assume: bool = False
     heap: HeapConfig = field(default_factory=HeapConfig)
 
     def __post_init__(self):
@@ -253,7 +252,6 @@ class RunReport:
     max_choice_depth: int = 0
     assertion_hits: dict = field(default_factory=dict)
     complete: bool = False
-    dead_assume_warning: bool = False
     wall_time: float = 0.0
 
 
@@ -573,12 +571,10 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
         verdict, complete = replace(failure, tape=ChoiceTape(tuple(ctx.taken))), True
     else:
         verdict, complete = _end_verdict(cfg, backend, explored, truncated, exhausted)
-    dead = (exhaustive and cfg.warn_dead_assume and verdict.is_pass
-            and explored == 0 and pruned > 0)
     return RunReport(name, backend, verdict, paths_explored=explored,
                      paths_pruned_by_assume=pruned, paths_truncated=truncated,
                      max_choice_depth=depth, assertion_hits=hits, complete=complete,
-                     dead_assume_warning=dead, wall_time=time.perf_counter() - t0)
+                     wall_time=time.perf_counter() - t0)
 
 
 def _end_verdict(cfg: ExploreConfig, backend: str, explored: int, truncated: int,

@@ -8,7 +8,8 @@ wild-dereference detection without address arithmetic ambiguity.
 
 Invalid accesses raise `MemoryFaultError` and latch the heap: once a fault
 occurred, every subsequent heap operation re-raises the same fault and
-mutates nothing.
+mutates nothing.  Reading a byte that was never written is a fault, and a
+zero-length access is a no-op, even through an invalid pointer.
 
 Content written by `havoc` is nondeterministic and materialized lazily: a
 havocked byte draws its concrete value from `byte_source` only when first
@@ -97,7 +98,6 @@ class FaultKind(Enum):
     USE_AFTER_FREE = "UseAfterFree"
     UNINIT_READ = "UninitRead"
     TYPED_ACCESS_VIOLATION = "TypedAccessViolation"
-    ZERO_SIZE_ACCESS = "ZeroSizeAccess"
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,7 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class HeapConfig:
     typed_access_check: bool = False
-    uninit_read_is_fault: bool = True
     zero_alloc_returns_null: bool = True
-    # Gates the ZeroSizeAccess fault kind: off by default, zero-length
-    # accesses are no-ops even through invalid pointers.
-    zero_size_access_is_fault: bool = False
 
 
 # Byte initialization states.
@@ -236,17 +232,8 @@ class Heap:
                 f"[{offset},{offset + length}) outside allocation of {a.size} bytes")
         return a
 
-    def _zero_len_gate(self, p: Pointer, loc: str) -> bool:
-        """Returns True when a zero-length access should be treated as a
-        no-op.  Under the strict config, zero-length access through an
-        invalid pointer is itself a fault."""
-        if self.config.zero_size_access_is_fault and not self._derefable(p, 0, strict=True):
-            self._raise_fault(FaultKind.ZERO_SIZE_ACCESS, loc,
-                              f"zero-length access through {p!r}")
-        return True
-
-    def _derefable(self, p: Pointer, length: int, strict: bool = False) -> bool:
-        if length == 0 and not strict:
+    def _derefable(self, p: Pointer, length: int) -> bool:
+        if length == 0:
             return True
         if p.kind is not _VALID:
             return False
@@ -292,7 +279,6 @@ class Heap:
         elif length < 0:
             raise ValueError("negative read length")
         elif length == 0:
-            self._zero_len_gate(p, loc)
             return b""
         else:
             a = self._checked_alloc(p, length, loc)
@@ -315,7 +301,7 @@ class Heap:
             s = state[i]
             if s == _HAVOC:
                 self._materialize(a, i, loc)
-            elif s == _UNINIT and self.config.uninit_read_is_fault:
+            elif s == _UNINIT:
                 self._raise_fault(FaultKind.UNINIT_READ, loc,
                                   f"byte {i} of allocation {a.id} read before any write")
         return bytes(a.data[lo:hi])
@@ -331,7 +317,6 @@ class Heap:
         """Write `buf` at `p` in one write epoch, tagging every byte `tag`."""
         self._check_latch()
         if len(buf) == 0:
-            self._zero_len_gate(p, loc)
             return
         a = self._checked_alloc(p, len(buf), loc)
         self.global_epoch += 1
@@ -366,7 +351,6 @@ class Heap:
         if length < 0:
             raise ValueError("negative havoc length")
         if length == 0:
-            self._zero_len_gate(p, loc)
             return
         a = self._checked_alloc(p, length, loc)
         self.global_epoch += 1

@@ -14,7 +14,7 @@ from .engine import ExploreConfig, RunReport
 from .vacuity import (STATUS_BUDGET, STATUS_FAIL, STATUS_PASS,
                       STATUS_PASS_BUT_VACUOUS, VacuityReport)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def config_dict(cfg: ExploreConfig) -> dict:
@@ -40,7 +40,6 @@ def vacuity_dict(vac: VacuityReport) -> dict:
     return {
         "vacuous_groups": sorted(vac.vacuous_groups),
         "partially_hit_groups": sorted(vac.partially_hit_groups),
-        "per_site_hits": dict(sorted(vac.per_site_hits.items())),
         "authoritative": vac.authoritative,
         "caveat": vac.caveat,
     }
@@ -65,7 +64,6 @@ def case_result_dict(result: CaseResult) -> dict:
         "paths_truncated": report.paths_truncated,
         "max_choice_depth": report.max_choice_depth,
         "assertion_hits": dict(sorted(report.assertion_hits.items())),
-        "dead_assume_warning": report.dead_assume_warning,
         "vacuity": vacuity_dict(result.vacuity),
         "wall_time": report.wall_time,
     }

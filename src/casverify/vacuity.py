@@ -12,7 +12,7 @@ over the declared sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .engine import (EXHAUSTIVE, VERDICT_BUDGET, VERDICT_FAIL, VERDICT_PASS,
@@ -30,10 +30,8 @@ class VacuityFrameworkError(Exception):
 
 @dataclass
 class VacuityReport:
-    proof_name: str
     vacuous_groups: frozenset[str] = frozenset()
     partially_hit_groups: frozenset[str] = frozenset()
-    per_site_hits: dict = field(default_factory=dict)
     authoritative: bool = True
     caveat: str = ""
 
@@ -71,10 +69,8 @@ def analyze(report: RunReport, sites: Iterable[AssertionSite]) -> VacuityReport:
     elif not report.complete:
         caveat = "exploration budget exhausted before covering the space"
     return VacuityReport(
-        proof_name=report.name,
         vacuous_groups=frozenset(vacuous),
         partially_hit_groups=frozenset(partial),
-        per_site_hits=hits,
         authoritative=not caveat,
         caveat=caveat,
     )

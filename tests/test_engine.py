@@ -28,6 +28,7 @@ from casverify.engine import (
 )
 from casverify.corpus import register_corpus
 from casverify.heap import FaultKind
+from casverify.vacuity import STATUS_PASS_BUT_VACUOUS, analyze, overall_status
 
 from oracles import oracle_explore
 
@@ -150,14 +151,14 @@ def test_all_paths_pruned_is_pass():
     assert report.paths_explored == 0
     assert report.paths_pruned_by_assume == 2
     assert report.assertion_hits == {}
-    assert not report.dead_assume_warning
 
 
-def test_dead_assume_warning_flag():
-    report = explore(proof_assume_false, exh(warn_dead_assume=True))
-    assert report.dead_assume_warning
-    report = explore(proof_pair_assume, exh(warn_dead_assume=True))
-    assert not report.dead_assume_warning
+def test_all_paths_pruned_leaves_declared_site_vacuous():
+    site = AssertionSite("dead")
+    report = explore(proof_assume_false, exh(), sites=(site,))
+    vac = analyze(report, (site,))
+    assert overall_status(report, vac) == STATUS_PASS_BUT_VACUOUS
+    assert vac.vacuous_groups == {"dead"}
 
 
 def test_prune_soundness_no_hits_from_pruned_paths():

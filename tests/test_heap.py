@@ -119,16 +119,6 @@ def test_zero_length_access_never_faults():
     h.havoc(NULL_PTR, 0)
 
 
-def test_zero_size_access_fault_config():
-    h = make_heap(zero_size_access_is_fault=True)
-    with pytest.raises(MemoryFaultError) as e:
-        h.read(NULL_PTR, 0)
-    assert fault_of(e) is FaultKind.ZERO_SIZE_ACCESS
-    h2 = make_heap(zero_size_access_is_fault=True)
-    q = h2.alloc(4)
-    assert h2.read(q.add(2), 0) == b""  # in-bounds zero access stays fine
-
-
 def test_write_read_roundtrip():
     h = make_heap()
     p = h.alloc(4)
@@ -170,12 +160,6 @@ def test_out_of_bounds():
     assert fault_of(e) is FaultKind.OUT_OF_BOUNDS
 
 
-def test_uninit_read_config_off_reads_zeros():
-    h = make_heap(uninit_read_is_fault=False)
-    p = h.alloc(3)
-    assert h.read(p, 3) == b"\x00\x00\x00"
-
-
 @settings(max_examples=40)
 @given(st.text(min_size=1, max_size=6), st.integers(min_value=1, max_value=16))
 def test_wild_never_dereferenceable(token, length):
@@ -202,15 +186,15 @@ def test_havoc_reads_come_from_source():
 
 
 def reference_read(state: bytearray, data: bytearray, lo: int, hi: int,
-                   source, uninit_is_fault: bool) -> int | None:
+                   source) -> int | None:
     """Per-byte model of `Heap.read` on one allocation: havocked bytes are
     drawn in ascending order and become initialized; returns the first
-    uninitialized byte when that faults, else None."""
+    uninitialized byte, which faults, else None."""
     for i in range(lo, hi):
         if state[i] == _HAVOC:
             data[i] = source() & 0xFF
             state[i] = _INIT
-        elif state[i] == _UNINIT and uninit_is_fault:
+        elif state[i] == _UNINIT:
             return i
     return None
 
@@ -226,22 +210,21 @@ def logging_source(log: list):
 
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from([_UNINIT, _INIT, _HAVOC]), min_size=1, max_size=24),
-       st.booleans(), st.data())
-def test_read_matches_per_byte_reference(states, uninit_is_fault, data):
+       st.data())
+def test_read_matches_per_byte_reference(states, data):
     size = len(states)
     lo = data.draw(st.integers(0, size - 1))
     hi = data.draw(st.integers(lo + 1, size))
     content = data.draw(st.binary(min_size=size, max_size=size))
     heap_draws, ref_draws = [], []
-    h = make_heap(uninit_read_is_fault=uninit_is_fault,
-                  byte_source=logging_source(heap_draws))
+    h = make_heap(byte_source=logging_source(heap_draws))
     p = h.alloc(size)
     a = h.allocations[p.alloc_id]
     a.state[:], a.data[:] = bytes(states), content
     ref_state, ref_data = bytearray(states), bytearray(content)
     assert h.is_init(p.add(lo), hi - lo) == (_UNINIT not in states[lo:hi])
     ref_fault = reference_read(ref_state, ref_data, lo, hi,
-                               logging_source(ref_draws), uninit_is_fault)
+                               logging_source(ref_draws))
     if ref_fault is None:
         assert h.read(p.add(lo), hi - lo) == bytes(ref_data[lo:hi])
     else:
@@ -525,13 +508,12 @@ def ref_read(h: Heap, p: Pointer, length: int, loc: str) -> bytes:
     if length < 0:
         raise ValueError("negative read length")
     if length == 0:
-        h._zero_len_gate(p, loc)
         return b""
     a = h._checked_alloc(p, length, loc)
     for i in range(p.offset, p.offset + length):
         if a.state[i] == _HAVOC:
             h._materialize(a, i, loc)
-        elif a.state[i] == _UNINIT and h.config.uninit_read_is_fault:
+        elif a.state[i] == _UNINIT:
             h._raise_fault(FaultKind.UNINIT_READ, loc,
                            f"byte {i} of allocation {a.id} read before any write")
     return bytes(a.data[p.offset:p.offset + length])
@@ -675,7 +657,6 @@ def test_fused_accessors_match_per_byte_reference(data):
     epochs = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
     live_at = data.draw(st.integers(0, size - 8) if size >= 8 else st.none(),
                         label="write_ptr offset")
-    uninit_is_fault = data.draw(st.booleans())
     has_source = data.draw(st.booleans(), label="has byte source")
     latched = data.draw(st.integers(0, 3).map(lambda n: n == 0), label="latched")
     prefix = []
@@ -693,8 +674,7 @@ def test_fused_accessors_match_per_byte_reference(data):
 
     def build():
         draws = []
-        h = make_heap(uninit_read_is_fault=uninit_is_fault,
-                      byte_source=logging_source(draws) if has_source else None)
+        h = make_heap(byte_source=logging_source(draws) if has_source else None)
         allocs = [h.alloc(size), h.alloc(size)]  # the second is freed below
         for p in allocs:
             a = h.allocations[p.alloc_id]

@@ -61,7 +61,7 @@ def test_report_digest_smoke(monkeypatch):
     # The normalized reports must not change.  Regenerate these values with
     # `scripts/report_digest.py` only when behaviour is meant to change.
     assert [sha for _, sha in lines] == [
-        "eb5ff83f10cbab51cb364451dd73367168b85711fb7d272437f0b22b96870ca3",
-        "425031c922f0a4cfbf85162134918c65545952de50dee95f62fce13eaf0732c2",
-        "62c0359d66659c37aa04c85c986c20396e621565a6ac8bcafd9a46386e47a9ee",
+        "fe150dbe54e3580a9f878705f178fb703ca6cb4d89fa9075a9c991457a0766e5",
+        "fd0e49e0e2c8ae93e39c26f5cc2144a913cac2f1cdc7d9f837282aae70788666",
+        "464fe7e079578f6c3398229da4aa7dda2496f1057cb246e11f41a34056915d02",
     ]
