@@ -30,6 +30,10 @@ A run checks every prefix entry against the domain the proof draws, so a
 proof that is not a deterministic function of its tape raises
 ReplayMismatchError instead of being explored wrongly.
 
+`_drive` judges each run once, after it ends, so a proof's `except
+Exception` cannot turn a fault, a tape mismatch or an engine signal (these
+derive from `BaseException`) into a normal return.
+
 There is no constraint solving: the exhaustive backend substitutes
 small-scope enumeration, stated honestly in reports.
 """
@@ -39,7 +43,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -255,17 +258,17 @@ class RunReport:
     wall_time: float = 0.0
 
 
-class PathPruned(Exception):
+class PathPruned(BaseException):
     pass
 
 
-class AssertionFailed(Exception):
+class AssertionFailed(BaseException):
     def __init__(self, site_id: str, message: str = ""):
         super().__init__(message or f"assertion {site_id} failed")
         self.site_id = site_id
 
 
-class ChoiceBudgetExceeded(Exception):
+class ChoiceBudgetExceeded(BaseException):
     pass
 
 
@@ -279,29 +282,15 @@ class ReplayMismatchError(Exception):
 #
 # A run follows its tape prefix and asks an extender, `extend(pos, n)`, for
 # the index of every draw past it: `pos` is the draw's position on the tape
-# and `n` the size of its domain.
+# and `n` the size of its domain.  A replay has no extender.
 
 def _first_index(pos: int, n: int) -> int:
     return 0
 
 
-def _past_tape_end(pos: int, n: int) -> int:
-    raise ReplayMismatchError(
-        f"proof drew choice #{pos + 1} but tape has only {pos} entries")
-
-
 # Builds a TapeEntry from its two fields without the keyword-argument
 # handling of the generated constructor.
 _new_entry = tuple.__new__
-
-
-def _raise_mismatch(pos: int, entry: TapeEntry, domain: Domain):
-    if entry.kind != domain.kind:
-        raise ReplayMismatchError(
-            f"tape entry #{pos + 1} is {entry.kind}, proof drew {domain.kind}")
-    raise ReplayMismatchError(
-        f"tape entry #{pos + 1} index {entry.index} outside "
-        f"{domain.kind} domain of {len(domain.values)} values")
 
 
 def _random_index(rng: random.Random) -> Callable[[int, int], int]:
@@ -327,29 +316,34 @@ class RunContext:
     Exposes the heap, the draw/assume/assert primitives, and the per-helper
     fixed/buggy variant selection.  One context lives for exactly one path.
     Draws follow `prefix`, each entry checked against the drawn domain's
-    kind and size, and `extend` picks every draw past it.
+    kind and size, and `extend` picks every draw past it; a replay has no
+    `extend`.  A mismatch is recorded in `mismatch` before it is raised.
 
     The heap draws havocked bytes through `choice`, so the context and its
     heap refer to each other.  `_drive` breaks that cycle when the run
     ends, so both are freed by reference counting.
     """
 
-    __slots__ = ("cfg", "_buggy", "_prefix", "_followed", "_max_choices", "_extend",
-                 "_trace", "taken", "sizes", "hits", "bounds", "_wild_count", "heap")
+    __slots__ = ("cfg", "_buggy", "_prefix", "_followed", "_stop", "_max_choices",
+                 "_extend", "_trace", "taken", "sizes", "hits", "bounds", "_wild_count",
+                 "mismatch", "heap")
 
     def __init__(self, cfg: ExploreConfig, *, buggy: frozenset[str] = frozenset(),
                  prefix: Sequence[TapeEntry] = (),
-                 extend: Callable[[int, int], int] = _first_index,
+                 extend: Callable[[int, int], int] | None = _first_index,
                  trace: list | None = None):
         self.cfg = cfg
         self._buggy = buggy
         self._prefix = prefix
         self._max_choices = cfg.max_choices_per_path
-        # Draws below this position follow the prefix; a draw at or past
-        # max_choices_per_path exceeds the budget before it reads the tape.
+        # Draws below `_followed` follow the prefix.  A draw at or past
+        # `_stop` ends the run: at max_choices_per_path it exceeds the budget
+        # before it reads the tape, and without an extender it is a mismatch.
         self._followed = min(len(prefix), self._max_choices)
+        self._stop = self._max_choices if extend is not None else self._followed
         self._extend = extend
         self._trace = trace
+        self.mismatch: ReplayMismatchError | None = None
         self.taken: list[TapeEntry] = []
         self.sizes: list[int] = []
         self.hits: dict[str, int] = {}
@@ -370,9 +364,13 @@ class RunContext:
         if pos < self._followed:
             entry = self._prefix[pos]
             if entry.kind != domain.kind or not 0 <= entry.index < n:
-                _raise_mismatch(pos, entry, domain)
-        elif pos >= self._max_choices:
-            raise ChoiceBudgetExceeded()
+                self._mismatch(f"tape entry #{pos + 1} " + (
+                    f"is {entry.kind}, proof drew {domain.kind}" if entry.kind != domain.kind
+                    else f"index {entry.index} outside {domain.kind} domain of {n} values"))
+        elif pos >= self._stop:
+            if pos >= self._max_choices:
+                raise ChoiceBudgetExceeded()
+            self._mismatch(f"proof drew choice #{pos + 1} but tape has only {pos} entries")
         else:
             entry = _new_entry(TapeEntry, (domain.kind, self._extend(pos, n)))
         taken.append(entry)
@@ -383,12 +381,16 @@ class RunContext:
                                f"index {entry.index} ({value!r})")
         return value
 
+    def _mismatch(self, message: str):
+        """Record a tape mismatch, for `_drive` to see, and raise it."""
+        self.mismatch = ReplayMismatchError(message)
+        raise self.mismatch
+
     def choice_below(self, domain: Domain, bound: int):
         """`choice(domain)` followed by `assume(index < bound)`: the same
         draw, trace lines and prune.  The bound is recorded for the draw's
         tape position, so the exhaustive backend counts the siblings at or
-        above it as pruned without running them.  That holds only if the
-        proof lets `PathPruned` propagate, as `assume` already requires."""
+        above it as pruned without running them."""
         value = self.choice(domain)
         pos = len(self.taken) - 1
         if self.bounds is None:
@@ -461,7 +463,7 @@ def replay(proof: Callable, tape: ChoiceTape, cfg: ExploreConfig, *, name: str =
     unconsumed (e.g. replaying a buggy counterexample against the fixed
     variant)."""
     return _drive(proof, cfg, REPLAY, name, sites, buggy,
-                  tape.entries, _past_tape_end, 1, trace)
+                  tape.entries, None, 1, trace)
 
 
 def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
@@ -493,7 +495,7 @@ def _bounds_on_prefix(bounds: dict[int, int] | None, n: int) -> dict[int, int]:
 
 def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
            declared: Iterable[AssertionSite], buggy: frozenset[str],
-           prefix: Sequence[TapeEntry] | None, extend: Callable[[int, int], int],
+           prefix: Sequence[TapeEntry] | None, extend: Callable[[int, int], int] | None,
            max_runs: int, trace: list | None = None) -> RunReport:
     """The one exploration loop behind every backend.
 
@@ -502,11 +504,13 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
     random and replay runs all start from the same prefix.  The leaves the
     successor steps past at a bounded draw count as pruned runs, up to the
     `max_runs` budget.  The loop ends at the first failing run, when the
-    tape tree is exhausted, or after `max_runs` runs.  Every run except a
-    pruned one adds its assertion hits, a run cut off by
-    max_choices_per_path included.  Any exception a proof raises, other
-    than a tape mismatch, fails its run with that run's tape, so it replays
-    like any other counterexample.  An exhaustive run whose bounds on its
+    tape tree is exhausted, or after `max_runs` runs.  Each run is judged
+    once, after it ends: a recorded tape mismatch is raised, even if the
+    proof caught it; a fault the heap recorded fails the run, however the
+    proof ended; and any other exception fails it too.  A failing run
+    carries its tape, so it replays like any other counterexample.  Every
+    run except a pruned one adds its assertion hits, a run cut off by
+    max_choices_per_path included.  An exhaustive run whose bounds on its
     prefix differ from those the previous run recorded raises
     ReplayMismatchError."""
     t0 = time.perf_counter()
@@ -518,32 +522,41 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
     bounds = None  # recorded by the previous run
     while explored + pruned + truncated < max_runs:
         ctx = RunContext(cfg, buggy=buggy, prefix=prefix, extend=extend, trace=trace)
+        ended = None
         try:
             proof(ctx)
-            explored += 1
         except PathPruned:
-            pruned += 1
-            ctx.hits.clear()  # a pruned run contributes no verdict and no hits
+            ended = PathPruned
         except ChoiceBudgetExceeded:
-            truncated += 1
+            ended = ChoiceBudgetExceeded
         except AssertionFailed as e:
             failure = Verdict(VERDICT_FAIL, failed_site=e.site_id, message=str(e))
-        except MemoryFaultError as e:
-            if trace is not None:
-                trace.append(f"heap fault: {e.fault.kind.value} at {e.fault.location}: "
-                             f"{e.fault.detail}")
-            failure = Verdict(VERDICT_FAIL, fault=e.fault, message=str(e))
         except UsageError as e:
             failure = Verdict(VERDICT_FAIL, message=f"framework usage error: {e}")
-        except ReplayMismatchError:
-            raise
         except Exception as e:
-            if trace is not None:
-                trace.extend(traceback.format_exc().splitlines())
             failure = Verdict(VERDICT_FAIL, message=f"proof raised {type(e).__name__}: {e}")
+            if trace is not None and ctx.heap.fault is None:
+                import traceback  # only a traced run formats one
+                trace.extend(traceback.format_exc().splitlines())
         # Break the context <-> heap cycle, so the run is freed as soon as
         # `ctx` is rebound.
         ctx.heap.byte_source = None
+        if ctx.mismatch is not None:
+            raise ctx.mismatch
+        fault = ctx.heap.fault
+        if fault is not None:
+            if trace is not None:
+                trace.append(f"heap fault: {fault.kind.value} at {fault.location}: "
+                             f"{fault.detail}")
+            failure = Verdict(VERDICT_FAIL, fault=fault, message=str(MemoryFaultError(fault)))
+        elif failure is None:
+            if ended is None:
+                explored += 1
+            elif ended is PathPruned:
+                pruned += 1
+                ctx.hits.clear()  # a pruned run contributes no verdict and no hits
+            else:
+                truncated += 1
         if exhaustive and ctx.bounds is not bounds:  # not both None
             was, now = (_bounds_on_prefix(b, len(prefix)) for b in (bounds, ctx.bounds))
             if was != now:

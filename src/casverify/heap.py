@@ -6,9 +6,9 @@ effective-type tags.  Pointers are tagged values (null / valid / wild)
 rather than flat addresses, which gives exact bounds, use-after-free and
 wild-dereference detection without address arithmetic ambiguity.
 
-Invalid accesses raise `MemoryFaultError` and latch the heap: once a fault
-occurred, every subsequent heap operation re-raises the same fault and
-mutates nothing.  Reading a byte that was never written is a fault, and a
+Invalid accesses raise `MemoryFaultError`; `Heap.fault` keeps the run's
+first, which fails the run once it ends, even if the proof caught the
+exception.  Reading a byte that was never written is a fault, and a
 zero-length access is a no-op, even through an invalid pointer.
 
 Content written by `havoc` is nondeterministic and materialized lazily: a
@@ -108,7 +108,7 @@ class Fault:
 
 
 class MemoryFaultError(Exception):
-    """Raised on an invalid memory access; carries the latched fault."""
+    """Raised on an invalid memory access; carries that access's fault."""
 
     def __init__(self, fault: Fault):
         super().__init__(f"{fault.kind.value} at {fault.location}: {fault.detail}")
@@ -173,19 +173,14 @@ class Heap:
     # -- fault plumbing ---------------------------------------------------
 
     def _raise_fault(self, kind: FaultKind, loc: str, detail: str):
+        fault = Fault(kind, loc, detail)
         if self.fault is None:
-            self.fault = Fault(kind, loc, detail)
-        raise MemoryFaultError(self.fault)
-
-    def _check_latch(self):
-        if self.fault is not None:
-            raise MemoryFaultError(self.fault)
+            self.fault = fault
+        raise MemoryFaultError(fault)
 
     # -- allocation -------------------------------------------------------
 
     def alloc(self, size: int) -> Pointer:
-        if self.fault is not None:
-            raise MemoryFaultError(self.fault)
         if size < 0:
             raise ValueError("negative allocation size")
         if size == 0 and self.config.zero_alloc_returns_null:
@@ -196,7 +191,6 @@ class Heap:
         return _new_ptr(Pointer, (_VALID, alloc_id, 0, ""))
 
     def free(self, p: Pointer, loc: str = "free"):
-        self._check_latch()
         if p.is_null:
             return
         if p.is_wild:
@@ -268,8 +262,6 @@ class Heap:
         a.state[i] = _INIT  # epoch unchanged: content was written at havoc time
 
     def read(self, p: Pointer, length: int, loc: str = "read") -> bytes:
-        if self.fault is not None:
-            raise MemoryFaultError(self.fault)
         kind, alloc_id, lo, _ = p
         if kind is _VALID and length > 0:
             a = self.allocations.get(alloc_id)
@@ -315,7 +307,6 @@ class Heap:
 
     def _store(self, p: Pointer, buf: bytes, tag: int, loc: str):
         """Write `buf` at `p` in one write epoch, tagging every byte `tag`."""
-        self._check_latch()
         if len(buf) == 0:
             return
         a = self._checked_alloc(p, len(buf), loc)
@@ -330,8 +321,6 @@ class Heap:
 
     def _store8(self, p: Pointer, buf: bytes, tag: int, loc: str, off: int = 0):
         """`_store` of exactly 8 bytes at `p + off`, as slice assignments."""
-        if self.fault is not None:
-            raise MemoryFaultError(self.fault)
         kind, alloc_id, lo, _ = p
         lo += off
         a = self.allocations.get(alloc_id) if kind is _VALID else None
@@ -347,7 +336,6 @@ class Heap:
     def havoc(self, p: Pointer, length: int, loc: str = "havoc"):
         """Fill a region with nondeterministic content (drawn lazily on
         first read).  Counts as a write: epochs bump, tags clear."""
-        self._check_latch()
         if length < 0:
             raise ValueError("negative havoc length")
         if length == 0:
@@ -368,7 +356,6 @@ class Heap:
         """True iff any byte in range was written after the last
         tracking_on.  Epoch semantics: rewriting a byte with its old value
         still counts as a modification."""
-        self._check_latch()
         if self.tracking_epoch is None:
             raise UsageError("is_mod called before tracking_on")
         if length == 0:
@@ -380,7 +367,6 @@ class Heap:
     # -- typed access -----------------------------------------------------
 
     def typed_read_u64(self, p: Pointer, loc: str = "typed_read_u64") -> int:
-        self._check_latch()
         a = self._checked_alloc(p, 8, loc)
         if self.config.typed_access_check:
             for i in range(p.offset, p.offset + 8):
@@ -401,11 +387,11 @@ class Heap:
     def read_u64(self, p: Pointer, loc: str = "read_u64", off: int = 0) -> int:
         """Untyped little-endian 8-byte read (no effective-type check)."""
         # Eight written bytes of a live allocation decode in place; anything
-        # else goes through `read`, which draws, faults or re-raises.
+        # else goes through `read`, which draws or faults.
         kind, alloc_id, lo, _ = p
         lo += off
         a = self.allocations.get(alloc_id) if kind is _VALID else None
-        if (a is not None and self.fault is None and not a.freed
+        if (a is not None and not a.freed
                 and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
             return int.from_bytes(a.data[lo:lo + 8], "little")
         return int.from_bytes(self.read(p.add(off), 8, loc), "little")
@@ -439,7 +425,7 @@ class Heap:
         kind, alloc_id, lo, _ = p
         lo += off
         a = self.allocations.get(alloc_id) if kind is _VALID else None
-        if (a is not None and self.fault is None and not a.freed
+        if (a is not None and not a.freed
                 and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
             raw = int.from_bytes(a.data[lo:lo + 8], "little")
         else:

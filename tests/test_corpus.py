@@ -12,7 +12,7 @@ from casverify.corpus import (
     run_case,
     run_matrix,
 )
-from casverify.engine import ExploreConfig, replay
+from casverify.engine import ExploreConfig, RunContext, replay
 from casverify.heap import FaultKind
 
 
@@ -51,6 +51,28 @@ def test_every_fixed_case_passes_clean():
 def test_all_registered_cases_match_expectations():
     for result in run_all_cases(base_cfg()):
         assert result.matched, (result.entry.name, result.case.label, result.detail)
+
+
+def test_every_buggy_helper_is_asked(monkeypatch):
+    # A misspelt helper name in a case's buggy set would run the fixed code
+    # without notice.
+    asked = set()
+    is_buggy = RunContext.is_buggy
+
+    def spy(ctx, helper_name):
+        asked.add(helper_name)
+        return is_buggy(ctx, helper_name)
+
+    monkeypatch.setattr(RunContext, "is_buggy", spy)
+    checked = 0
+    for entry in register_corpus():
+        for case in entry.cases:
+            if case.buggy:
+                asked.clear()
+                run_case(entry, case, base_cfg())
+                assert case.buggy <= asked, (entry.name, case.label, sorted(asked))
+                checked += 1
+    assert checked == 10
 
 
 def test_bug_masking_flag_flip():

@@ -487,6 +487,124 @@ def test_proof_exception_is_replayable_fail(backend):
     assert trace[-1] == "ValueError: negative allocation size"  # the traceback
 
 
+# -- proofs that catch Exception -----------------------------------------------------------
+#
+# Each proof wraps the step that ends its run in `try/except Exception`.  The
+# run must still end as it would without the handler.
+
+def proof_swallowed_assert(ctx):
+    n = sl.nd_size_t(ctx)
+    try:
+        ctx.sassert("small", n < 2)
+    except Exception:
+        pass
+
+
+def proof_swallowed_fault(ctx):
+    n = sl.nd_size_t(ctx)
+    p = ctx.heap.alloc(2)
+    ctx.heap.write(p, b"ab")
+    try:
+        ctx.heap.read(p, n)  # out of bounds at n == 3
+    except Exception:
+        pass
+
+
+def proof_swallowed_budget(ctx):
+    try:
+        while True:
+            sl.nd_bool(ctx)
+    except Exception:
+        pass
+
+
+def proof_swallowed_bounded_draw(ctx):
+    try:
+        sl.nd_size_t_below(ctx, 2)
+    except Exception:
+        pass
+    ctx.sassert("small", ctx.taken[0].index < 2)  # the drawn size
+
+
+def proof_swallowed_assume(ctx):
+    n = sl.nd_size_t(ctx)
+    try:
+        ctx.assume(n < 2)
+    except Exception:
+        pass
+    ctx.sassert("small", n < 2)
+
+
+@pytest.mark.parametrize("backend", [EXHAUSTIVE, RANDOM])
+@pytest.mark.parametrize("proof,failed_site,fault", [
+    (proof_swallowed_assert, "small", None),
+    (proof_swallowed_fault, None, FaultKind.OUT_OF_BOUNDS),
+], ids=["assert", "fault"])
+def test_swallowed_failure_still_fails(backend, proof, failed_site, fault):
+    cfg = exh(backend=backend, size_bound=3)
+    verdict = explore(proof, cfg).verdict
+    assert verdict.is_fail and verdict.failed_site == failed_site
+    assert (verdict.fault.kind if verdict.fault else None) is fault
+    if backend == EXHAUSTIVE:
+        index = 2 if fault is None else 3
+        assert verdict.tape == ChoiceTape((TapeEntry(KIND_SIZET, index),))
+    trace = []
+    assert replay(proof, verdict.tape, cfg, trace=trace).verdict == verdict
+    if fault is not None:
+        assert trace[-1] == f"heap fault: {verdict.message}"
+
+
+@pytest.mark.parametrize("backend", [EXHAUSTIVE, RANDOM])
+def test_swallowed_choice_budget_still_truncates(backend):
+    cfg = exh(backend=backend, max_choices_per_path=4, random_budget=20)
+    report = explore(proof_swallowed_budget, cfg)
+    assert report.verdict.status == "budget_exhausted"
+    assert report.paths_explored == 0
+    assert report.paths_truncated == (16 if backend == EXHAUSTIVE else 20)
+    rep = replay(proof_swallowed_budget, ChoiceTape((TapeEntry(KIND_BOOL, 1),) * 4), cfg)
+    assert (rep.verdict.status, rep.paths_explored, rep.paths_truncated) == (
+        "budget_exhausted", 0, 1)
+
+
+@pytest.mark.parametrize("backend", [EXHAUSTIVE, RANDOM])
+def test_swallowed_bounded_draw_prunes_like_its_assume_twin(backend):
+    cfg = exh(backend=backend, size_bound=3)
+    below = explore(proof_swallowed_bounded_draw, cfg)
+    twin = explore(proof_swallowed_assume, cfg)
+    assert below.verdict.is_pass and twin.verdict.is_pass
+    assert (below.paths_explored, below.paths_pruned_by_assume, below.assertion_hits) == (
+        twin.paths_explored, twin.paths_pruned_by_assume, twin.assertion_hits)
+    if backend == EXHAUSTIVE:
+        assert (below.paths_explored, below.paths_pruned_by_assume) == (2, 2)
+    for index in range(4):
+        tape = ChoiceTape((TapeEntry(KIND_SIZET, index),))
+        reps = [replay(p, tape, cfg) for p in (proof_swallowed_bounded_draw,
+                                               proof_swallowed_assume)]
+        assert all(r.verdict.is_pass for r in reps)
+        assert {(r.paths_explored, r.paths_pruned_by_assume) for r in reps} == {
+            (1, 0) if index < 2 else (0, 1)}
+
+
+def test_caught_tape_mismatch_still_raises():
+    # The shrinking-domain proof of the explore mismatch test, with the
+    # draw inside `try/except Exception`.
+    runs = []
+
+    def proof(ctx):
+        try:
+            ctx.choice(Domain.size_t(0) if runs else Domain.size_t(2))
+        except Exception:
+            pass
+        runs.append(1)
+
+    with pytest.raises(ReplayMismatchError, match="index 1 outside sizet domain of 1"):
+        explore(proof, exh())
+    with pytest.raises(ReplayMismatchError, match="index 2 outside sizet domain of 1"):
+        replay(proof, ChoiceTape((TapeEntry(KIND_SIZET, 2),)), exh())
+    with pytest.raises(ReplayMismatchError, match="tape has only 0 entries"):
+        replay(proof, ChoiceTape(), exh())
+
+
 # -- domains and tapes ----------------------------------------------------------------------
 
 def test_domain_validation():

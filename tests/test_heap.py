@@ -18,7 +18,6 @@ from casverify.heap import (
     TAG_U8,
     TAG_U64,
     U64_MASK,
-    Fault,
     FaultKind,
     Heap,
     HeapConfig,
@@ -504,7 +503,6 @@ def test_read_ptr_of_zero_bytes_is_null():
 
 def ref_read(h: Heap, p: Pointer, length: int, loc: str) -> bytes:
     """`Heap.read` as the per-byte loop behind `_checked_alloc`."""
-    h._check_latch()
     if length < 0:
         raise ValueError("negative read length")
     if length == 0:
@@ -535,7 +533,6 @@ def ref_read_ptr(h: Heap, p: Pointer, loc: str = "read_ptr") -> Pointer:
 
 
 def ref_store(h: Heap, p: Pointer, buf: bytes, tag: int, loc: str):
-    h._check_latch()
     a = h._checked_alloc(p, len(buf), loc)
     h.global_epoch += 1
     for j, v in enumerate(buf):
@@ -658,7 +655,6 @@ def test_fused_accessors_match_per_byte_reference(data):
     live_at = data.draw(st.integers(0, size - 8) if size >= 8 else st.none(),
                         label="write_ptr offset")
     has_source = data.draw(st.booleans(), label="has byte source")
-    latched = data.draw(st.integers(0, 3).map(lambda n: n == 0), label="latched")
     prefix = []
     if size >= 8:
         for _ in range(data.draw(st.integers(0, 3), label="stores")):
@@ -696,8 +692,6 @@ def test_fused_accessors_match_per_byte_reference(data):
                 _check_same(fused, ref, *access)
             for h, targets, _ in (fused, ref):
                 h.free(targets["freed"])
-                if latched:
-                    h.fault = Fault(FaultKind.OUT_OF_BOUNDS, "earlier", "latched before")
             _check_same(fused, ref, op, target, offset, arg)
 
 
@@ -791,23 +785,21 @@ def test_ptr_cmp_total_order(p, q, r):
     assert (cmp(p, q) == 0) == (p == q)
 
 
-# -- fault latching ----------------------------------------------------------------
+# -- the recorded fault -------------------------------------------------------------
 
-def test_fault_latching():
+def test_heap_keeps_the_first_fault():
     h = make_heap()
     p = h.alloc(4)
     h.write(p, b"abcd")
     with pytest.raises(MemoryFaultError) as first:
         h.read(p, 5)
-    kind = fault_of(first)
-    snapshot = bytes(h.allocations[p.alloc_id].data)
-    for op in (lambda: h.write(p, b"zzzz"), lambda: h.read(p, 4),
-               lambda: h.alloc(4), lambda: h.free(p), lambda: h.havoc(p, 4)):
-        with pytest.raises(MemoryFaultError) as again:
-            op()
-        assert again.value.fault == first.value.fault
-    assert fault_of(first) is kind
-    assert bytes(h.allocations[p.alloc_id].data) == snapshot  # nothing mutated
+    assert h.fault == first.value.fault
+    assert h.read(p, 4) == b"abcd"  # the heap goes on working
+    with pytest.raises(MemoryFaultError) as second:
+        h.free(p.add(1))
+    assert fault_of(second) is FaultKind.OUT_OF_BOUNDS
+    assert second.value.fault != first.value.fault
+    assert h.fault == first.value.fault
 
 
 # -- epochs --------------------------------------------------------------------------
