@@ -20,7 +20,11 @@ statistics.  The backends differ only in where each run's tape comes from:
   failure aborts and rejects the run.  A random pass is explicitly weaker
   than an exhaustive pass and the report flags it.  Each index is drawn
   from the seeded `random.Random` exactly as `randrange` draws it.
-* replay: one run on a recorded tape, with no draws past its end.
+* replay: one run on a recorded tape, with no draws past its end.  Only a
+  replay traces its run: its context is a `RunContext` subclass that
+  writes one line per draw, assume and assert, and `replay` itself adds
+  the traceback or heap fault that ended the run.  Exploration runs carry
+  no trace code.
 
 Each run gets a fresh `RunContext` and `Heap`.  `_drive` breaks the
 reference cycle between them when the run ends, so both are freed by
@@ -46,13 +50,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .heap import Fault, Heap, HeapConfig, MemoryFaultError, Pointer, UsageError
+from .heap import U64_MAX, Fault, Heap, HeapConfig, MemoryFaultError, Pointer, UsageError
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
 REPLAY = "replay"
-
-U64_MAX = (1 << 64) - 1
 
 # Domain kinds as they appear in serialized tapes.
 KIND_BOOL = "bool"
@@ -174,6 +176,9 @@ class ExploreConfig:
     heap: HeapConfig = field(default_factory=HeapConfig)
 
     def __post_init__(self):
+        if self.backend not in (EXHAUSTIVE, RANDOM):
+            raise ValueError(f"backend must be {EXHAUSTIVE!r} or {RANDOM!r}, "
+                             f"not {self.backend!r}")
         if self.size_bound < 0:
             raise ValueError("size_bound must be non-negative")
         for name in ("max_paths", "max_choices_per_path", "random_budget"):
@@ -325,13 +330,12 @@ class RunContext:
     """
 
     __slots__ = ("cfg", "_buggy", "_prefix", "_followed", "_stop", "_max_choices",
-                 "_extend", "_trace", "taken", "sizes", "hits", "bounds", "_wild_count",
+                 "_extend", "taken", "sizes", "hits", "bounds", "_wild_count",
                  "mismatch", "heap")
 
     def __init__(self, cfg: ExploreConfig, *, buggy: frozenset[str] = frozenset(),
                  prefix: Sequence[TapeEntry] = (),
-                 extend: Callable[[int, int], int] | None = _first_index,
-                 trace: list | None = None):
+                 extend: Callable[[int, int], int] | None = _first_index):
         self.cfg = cfg
         self._buggy = buggy
         self._prefix = prefix
@@ -342,7 +346,6 @@ class RunContext:
         self._followed = min(len(prefix), self._max_choices)
         self._stop = self._max_choices if extend is not None else self._followed
         self._extend = extend
-        self._trace = trace
         self.mismatch: ReplayMismatchError | None = None
         self.taken: list[TapeEntry] = []
         self.sizes: list[int] = []
@@ -375,11 +378,7 @@ class RunContext:
             entry = _new_entry(TapeEntry, (domain.kind, self._extend(pos, n)))
         taken.append(entry)
         self.sizes.append(n)
-        value = values[entry.index]
-        if self._trace is not None:
-            self._trace.append(f"choice {pos + 1}: {domain.kind}[{n}] -> "
-                               f"index {entry.index} ({value!r})")
-        return value
+        return values[entry.index]
 
     def _mismatch(self, message: str):
         """Record a tape mismatch, for `_drive` to see, and raise it."""
@@ -407,26 +406,47 @@ class RunContext:
 
     def assume(self, cond) -> None:
         if not cond:
-            if self._trace is not None:
-                self._trace.append("assume: false -> path pruned")
             raise PathPruned()
-        if self._trace is not None:
-            self._trace.append("assume: ok")
 
     def sassert(self, site, cond) -> None:
         site_id = site if isinstance(site, str) else site.site_id
         self.hits[site_id] = self.hits.get(site_id, 0) + 1
         if not cond:
-            if self._trace is not None:
-                self._trace.append(f"assert {site_id}: FAILED")
             raise AssertionFailed(site_id)
-        if self._trace is not None:
-            self._trace.append(f"assert {site_id}: ok")
 
     # -- variants -----------------------------------------------------------
 
     def is_buggy(self, helper_name: str) -> bool:
         return helper_name in self._buggy
+
+
+class _TracedContext(RunContext):
+    """A `RunContext` that writes one line to `trace` for every draw,
+    assume and assert of its run.  Only `replay` builds one.  Havocked
+    bytes and bounded draws go through `choice` and `assume`, so they are
+    traced too."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: list, cfg: ExploreConfig, **kw):
+        self._trace = trace
+        super().__init__(cfg, **kw)
+
+    def choice(self, domain: Domain):
+        value = super().choice(domain)
+        pos, index = len(self.taken), self.taken[-1].index
+        self._trace.append(f"choice {pos}: {domain.kind}[{len(domain.values)}] -> "
+                           f"index {index} ({value!r})")
+        return value
+
+    def assume(self, cond) -> None:
+        self._trace.append("assume: ok" if cond else "assume: false -> path pruned")
+        super().assume(cond)
+
+    def sassert(self, site, cond) -> None:
+        site_id = site if isinstance(site, str) else site.site_id
+        self._trace.append(f"assert {site_id}: " + ("ok" if cond else "FAILED"))
+        super().sassert(site, cond)
 
 
 # -- the exploration driver ------------------------------------------------------
@@ -447,10 +467,8 @@ def explore(proof: Callable, cfg: ExploreConfig, *, name: str = "",
     if cfg.backend == EXHAUSTIVE:
         return _drive(proof, cfg, EXHAUSTIVE, name, sites, buggy,
                       [], _first_index, cfg.max_paths)
-    if cfg.backend == RANDOM:
-        return _drive(proof, cfg, RANDOM, name, sites, buggy,
-                      (), _random_index(random.Random(cfg.seed)), cfg.random_budget)
-    raise ValueError(f"unknown backend {cfg.backend!r}")
+    return _drive(proof, cfg, RANDOM, name, sites, buggy,
+                  (), _random_index(random.Random(cfg.seed)), cfg.random_budget)
 
 
 def replay(proof: Callable, tape: ChoiceTape, cfg: ExploreConfig, *, name: str = "",
@@ -458,12 +476,31 @@ def replay(proof: Callable, tape: ChoiceTape, cfg: ExploreConfig, *, name: str =
            trace: list | None = None) -> RunReport:
     """Deterministically re-run one recorded path.
 
+    Appends the run's step-by-step trace to `trace`: one line per draw,
+    assume and assert, then the traceback of an exception the proof raised
+    or the heap fault that failed the run.
+
     Raises ReplayMismatchError when the proof draws a different domain than
     recorded or runs past the end of the tape.  A tape may legally go
     unconsumed (e.g. replaying a buggy counterexample against the fixed
     variant)."""
-    return _drive(proof, cfg, REPLAY, name, sites, buggy,
-                  tape.entries, None, 1, trace)
+    if trace is None:
+        trace = []
+
+    def traced_proof(ctx: RunContext):
+        try:
+            proof(ctx)
+        except Exception as e:
+            if ctx.heap.fault is None and not isinstance(e, UsageError):
+                import traceback  # only a replay that raised formats one
+                trace.extend(traceback.format_exc().splitlines())
+            raise
+
+    report = _drive(traced_proof, cfg, REPLAY, name, sites, buggy, tape.entries, None, 1,
+                    functools.partial(_TracedContext, trace))
+    if report.verdict.fault is not None:
+        trace.append("heap fault: " + report.verdict.message)
+    return report
 
 
 def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
@@ -496,23 +533,24 @@ def _bounds_on_prefix(bounds: dict[int, int] | None, n: int) -> dict[int, int]:
 def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
            declared: Iterable[AssertionSite], buggy: frozenset[str],
            prefix: Sequence[TapeEntry] | None, extend: Callable[[int, int], int] | None,
-           max_runs: int, trace: list | None = None) -> RunReport:
+           max_runs: int, new_context: Callable[..., RunContext] = RunContext) -> RunReport:
     """The one exploration loop behind every backend.
 
-    Each run follows `prefix` and takes draws past it from `extend`.  The
-    exhaustive backend then moves to the DFS successor of the run's tape;
-    random and replay runs all start from the same prefix.  The leaves the
-    successor steps past at a bounded draw count as pruned runs, up to the
-    `max_runs` budget.  The loop ends at the first failing run, when the
-    tape tree is exhausted, or after `max_runs` runs.  Each run is judged
-    once, after it ends: a recorded tape mismatch is raised, even if the
-    proof caught it; a fault the heap recorded fails the run, however the
-    proof ended; and any other exception fails it too.  A failing run
-    carries its tape, so it replays like any other counterexample.  Every
-    run except a pruned one adds its assertion hits, a run cut off by
-    max_choices_per_path included.  An exhaustive run whose bounds on its
-    prefix differ from those the previous run recorded raises
-    ReplayMismatchError."""
+    Each run gets a context from `new_context`, follows `prefix` and takes
+    draws past it from `extend`.  The exhaustive backend then moves to the
+    DFS successor of the run's tape; random and replay runs all start from
+    the same prefix.  The leaves the successor steps past at a bounded draw
+    count as pruned runs, up to the `max_runs` budget.  The loop ends at the
+    first failing run, when the tape tree is exhausted, or after `max_runs`
+    runs.  Each run is judged once, after it ends: a recorded tape mismatch
+    is raised, even if the proof caught it; a fault the heap recorded fails
+    the run, however the proof ended, and its message says so when the
+    proof caught the fault; and any other exception fails it too.  A
+    failing run carries its tape, so it replays like any other
+    counterexample.  Every run except a pruned one adds its assertion hits,
+    a run cut off by max_choices_per_path included.  An exhaustive run
+    whose bounds on its prefix differ from those the previous run recorded
+    raises ReplayMismatchError."""
     t0 = time.perf_counter()
     hits = {s.site_id: 0 for s in declared}
     explored = pruned = truncated = depth = 0
@@ -521,8 +559,8 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
     exhaustive = backend == EXHAUSTIVE
     bounds = None  # recorded by the previous run
     while explored + pruned + truncated < max_runs:
-        ctx = RunContext(cfg, buggy=buggy, prefix=prefix, extend=extend, trace=trace)
-        ended = None
+        ctx = new_context(cfg, buggy=buggy, prefix=prefix, extend=extend)
+        ended = escaped = None
         try:
             proof(ctx)
         except PathPruned:
@@ -535,9 +573,8 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
             failure = Verdict(VERDICT_FAIL, message=f"framework usage error: {e}")
         except Exception as e:
             failure = Verdict(VERDICT_FAIL, message=f"proof raised {type(e).__name__}: {e}")
-            if trace is not None and ctx.heap.fault is None:
-                import traceback  # only a traced run formats one
-                trace.extend(traceback.format_exc().splitlines())
+            if isinstance(e, MemoryFaultError):
+                escaped = e.fault
         # Break the context <-> heap cycle, so the run is freed as soon as
         # `ctx` is rebound.
         ctx.heap.byte_source = None
@@ -545,10 +582,10 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
             raise ctx.mismatch
         fault = ctx.heap.fault
         if fault is not None:
-            if trace is not None:
-                trace.append(f"heap fault: {fault.kind.value} at {fault.location}: "
-                             f"{fault.detail}")
-            failure = Verdict(VERDICT_FAIL, fault=fault, message=str(MemoryFaultError(fault)))
+            message = str(MemoryFaultError(fault))
+            if fault is not escaped:
+                message += " (caught by the proof)"
+            failure = Verdict(VERDICT_FAIL, fault=fault, message=message)
         elif failure is None:
             if ended is None:
                 explored += 1

@@ -126,6 +126,8 @@ class HeapConfig:
     zero_alloc_returns_null: bool = True
 
 
+U64_MAX = (1 << 64) - 1
+
 # Byte initialization states.
 _UNINIT, _INIT, _HAVOC = 0, 1, 2
 
@@ -377,7 +379,7 @@ class Heap:
         return int.from_bytes(self.read(p, 8, loc), "little")
 
     def typed_write_u64(self, p: Pointer, value: int, loc: str = "typed_write_u64"):
-        self._store8(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U64, loc)
+        self._store8(p, (value & U64_MAX).to_bytes(8, "little"), TAG_U64, loc)
 
     # -- scalar / pointer field helpers ------------------------------------
     #
@@ -397,7 +399,7 @@ class Heap:
         return int.from_bytes(self.read(p.add(off), 8, loc), "little")
 
     def write_u64(self, p: Pointer, value: int, loc: str = "write_u64", off: int = 0):
-        self._store8(p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc, off)
+        self._store8(p, (value & U64_MAX).to_bytes(8, "little"), TAG_U8, loc, off)
 
     def write_ptr(self, p: Pointer, value: Pointer, loc: str = "write_ptr", off: int = 0):
         """Store a pointer value as 8 little-endian bytes of an interned
@@ -488,5 +490,3 @@ def _cmp_key(p: Pointer):
         return (1, p.alloc_id, p.offset, "")
     return (2, 0, 0, p.token)
 
-
-U64_MASK = (1 << 64) - 1

@@ -4,6 +4,9 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,12 +98,26 @@ def test_replay_fixed_variant_of_buggy_tape(tmp_path, capsys):
     run_cli("--proofs", "byte_buf_invariant", "--variant", "buggy",
             "--max-bound", "2", "--save-tapes", str(tapes),
             "-o", str(tmp_path / "r.json"))
-    # replaying the counterexample against the fixed variant may legally
-    # pass (path pruned by the stronger precondition)
+    capsys.readouterr()
+    # the fixed variant's stronger precondition prunes the replayed path
     code = run_cli("replay", "byte_buf_invariant",
                    str(tapes / "byte_buf_invariant.buggy.tape"),
                    "--max-bound", "2")
-    assert code in (0, 2)
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["assume: false -> path pruned",
+                        "verdict: pass (replayed path pruned by assume)"]
+
+
+def test_importing_cli_does_not_load_traceback():
+    # Only a replay whose proof raised formats a traceback.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, casverify.cli; print('traceback' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_replay_corrupt_tape_exit_2(tmp_path, capsys):

@@ -431,6 +431,16 @@ def test_config_bounds_validated():
     assert ExploreConfig(size_bound=0).size_bound == 0
 
 
+def test_backend_validated():
+    # Rejected when the config is built, as bad bounds are; replay is a
+    # function, not a backend a config selects.
+    with pytest.raises(ValueError, match="backend"):
+        ExploreConfig(backend="bfs")
+    with pytest.raises(ValueError, match="backend"):
+        ExploreConfig().with_overrides(backend="replay")
+    assert ExploreConfig().with_overrides(backend=RANDOM).backend == RANDOM
+
+
 @pytest.mark.parametrize("values", [(), (1, 1), (-1,), (1 << 70,), (0, U64_MAX + 1)],
                          ids=["empty", "duplicate", "negative", "too_wide", "max_plus_one"])
 def test_u64_values_validated(values):
@@ -551,7 +561,23 @@ def test_swallowed_failure_still_fails(backend, proof, failed_site, fault):
     trace = []
     assert replay(proof, verdict.tape, cfg, trace=trace).verdict == verdict
     if fault is not None:
+        assert verdict.message.endswith(" (caught by the proof)")
         assert trace[-1] == f"heap fault: {verdict.message}"
+
+
+def test_fault_caught_before_another_escapes_is_marked_caught():
+    def proof(ctx):
+        p = ctx.heap.alloc(1)
+        try:
+            ctx.heap.read(p, 2)  # the run's first fault, caught
+        except Exception:
+            pass
+        ctx.heap.free(p)
+        ctx.heap.free(p)  # a second fault, not caught
+
+    verdict = explore(proof, exh()).verdict
+    assert verdict.fault.kind is FaultKind.OUT_OF_BOUNDS  # the first fault
+    assert verdict.message.endswith(" (caught by the proof)")
 
 
 @pytest.mark.parametrize("backend", [EXHAUSTIVE, RANDOM])

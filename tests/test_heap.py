@@ -17,7 +17,7 @@ from casverify.heap import (
     TAG_PTR,
     TAG_U8,
     TAG_U64,
-    U64_MASK,
+    U64_MAX,
     FaultKind,
     Heap,
     HeapConfig,
@@ -541,7 +541,7 @@ def ref_store(h: Heap, p: Pointer, buf: bytes, tag: int, loc: str):
 
 
 def ref_write_u64(h: Heap, p: Pointer, value: int, loc: str = "write_u64"):
-    ref_store(h, p, (value & U64_MASK).to_bytes(8, "little"), TAG_U8, loc)
+    ref_store(h, p, (value & U64_MAX).to_bytes(8, "little"), TAG_U8, loc)
 
 
 def ref_write_ptr(h: Heap, p: Pointer, value: Pointer, loc: str = "write_ptr"):
@@ -589,7 +589,7 @@ def _reference_ops(h, p, arg):
         "read_ptr": lambda: ref_read_ptr(h, p),
         "write_u64": lambda: ref_write_u64(h, p, arg),
         "typed_write_u64": lambda: ref_store(
-            h, p, (arg & U64_MASK).to_bytes(8, "little"), TAG_U64, "typed_write_u64"),
+            h, p, (arg & U64_MAX).to_bytes(8, "little"), TAG_U64, "typed_write_u64"),
         "write_ptr": lambda: ref_write_ptr(h, p, arg),
         "get_u64_field": lambda: ref_read_u64(h, p.add(_U64_MEMBER_OFF)),
         "get_ptr_field": lambda: ref_read_ptr(h, p.add(_PTR_MEMBER_OFF)),
