@@ -34,6 +34,8 @@ class Record:
     `heap.u64_field` or `heap.ptr_field` at the member's offset.  A record
     keeps only the run's heap, which every field access goes through."""
 
+    __slots__ = ("heap", "ptr")
+
     def __init__(self, ctx: RunContext, ptr: Pointer):
         self.heap = ctx.heap
         self.ptr = ptr
@@ -44,6 +46,7 @@ class Record:
 # =========================================================================
 
 class ByteBuf(Record):
+    __slots__ = ()
     SIZE = 32
     buffer = ptr_field(0)
     len = u64_field(8)
@@ -90,7 +93,7 @@ def byte_buf_append_byte(ctx: RunContext, bufp: Pointer, value: int) -> bool:
     length = b.len
     if length >= b.capacity:
         return False
-    ctx.heap.write(b.buffer.add(length), bytes([value & 0xFF]), loc="byte_buf_append")
+    ctx.heap.write(b.buffer, bytes([value & 0xFF]), loc="byte_buf_append", off=length)
     b.len = length + 1
     return True
 
@@ -100,6 +103,7 @@ def byte_buf_append_byte(ctx: RunContext, bufp: Pointer, value: int) -> bool:
 # =========================================================================
 
 class ArrayList(Record):
+    __slots__ = ()
     SIZE = 40
     data = ptr_field(0)
     length = u64_field(8)
@@ -160,11 +164,11 @@ def pq_s_swap(ctx: RunContext, containerp: Pointer, a: int, b: int) -> None:
     lst = ArrayList(ctx, containerp)
     sz = lst.item_size
     data = lst.data
-    pa, pb = data.add(a * sz), data.add(b * sz)
-    bytes_a = ctx.heap.read(pa, sz, loc="pq_s_swap")
-    bytes_b = ctx.heap.read(pb, sz, loc="pq_s_swap")
-    ctx.heap.write(pa, bytes_b, loc="pq_s_swap")
-    ctx.heap.write(pb, bytes_a, loc="pq_s_swap")
+    h = ctx.heap
+    bytes_a = h.read(data, sz, loc="pq_s_swap", off=a * sz)
+    bytes_b = h.read(data, sz, loc="pq_s_swap", off=b * sz)
+    h.write(data, bytes_b, loc="pq_s_swap", off=a * sz)
+    h.write(data, bytes_a, loc="pq_s_swap", off=b * sz)
 
 
 def pq_s_swap_postcondition(ctx: RunContext, ob_i: int, a: int, b: int,
@@ -219,6 +223,7 @@ _HEAD_OFF, _TAIL_OFF = 0, 16
 
 
 class Node(Record):
+    __slots__ = ()
     SIZE = 16
     prev = ptr_field(0)
     next = ptr_field(8)
@@ -322,6 +327,7 @@ def linked_list_prev_is_valid(ctx: RunContext, nodep: Pointer) -> bool:
 # =========================================================================
 
 class HashEntry(Record):
+    __slots__ = ()
     SIZE = 24
     hash_code = u64_field(0)
     key = ptr_field(8)
@@ -329,16 +335,14 @@ class HashEntry(Record):
 
 
 class HashState(Record):
+    __slots__ = ()
     SIZE = 24
     entry_count = u64_field(0)
     num_slots = u64_field(8)
     slots = ptr_field(16)
 
-    def entry(self, i: int) -> Pointer:
-        return self.slots.add(i * HashEntry.SIZE)
-
     def entry_hash(self, i: int) -> int:
-        return self.heap.read_u64(self.entry(i))
+        return self.heap.read_u64(self.slots, off=i * HashEntry.SIZE)
 
 
 # Per-slot hash code: empty or occupied.
@@ -394,7 +398,7 @@ def hash_iter_delete(ctx: RunContext, it: HashIter) -> None:
     code but forgets to decrement entry_count.  Entry payloads are not
     modeled."""
     st = HashState(ctx, it.statep)
-    ctx.heap.write_u64(st.entry(it.slot), 0, loc="hash_iter_delete")
+    ctx.heap.write_u64(st.slots, 0, loc="hash_iter_delete", off=it.slot * HashEntry.SIZE)
     if not ctx.is_buggy("hash_iter_delete"):
         st.entry_count = st.entry_count - 1
 
@@ -415,6 +419,7 @@ def hash_table_foreach(ctx: RunContext, statep: Pointer, callback) -> None:
 # =========================================================================
 
 class AwsString(Record):
+    __slots__ = ()
     SIZE = 16
     len = u64_field(0)
     bytes = ptr_field(8)
@@ -428,7 +433,7 @@ def nd_init_aws_string(ctx: RunContext) -> Pointer:
     storage = ctx.heap.alloc(length + 1)
     if length:
         ctx.heap.havoc(storage, length)
-    ctx.heap.write(storage.add(length), b"\x00")
+    ctx.heap.write(storage, b"\x00", off=length)
     s.len = length
     s.bytes = storage
     return s.ptr
@@ -452,8 +457,8 @@ def aws_string_is_valid(ctx: RunContext, sp: Pointer) -> bool:
         return False
     s = AwsString(ctx, sp)
     storage = s.bytes
-    return h.is_deref(storage, s.len + 1) \
-        and h.read(storage.add(s.len), 1) == b"\x00"
+    n = s.len
+    return h.is_deref(storage, n + 1) and h.read(storage, 1, off=n) == b"\x00"
 
 
 def c_string_is_valid(ctx: RunContext, p: Pointer) -> bool:
@@ -470,8 +475,9 @@ def hash_callback_string_eq(ctx: RunContext, s1p: Pointer, s2p: Pointer) -> bool
     if n != s2.len:
         return False
     b1, b2 = s1.bytes, s2.bytes
+    read = ctx.heap.read
     for i in range(n):
-        if ctx.heap.read(b1.add(i), 1) != ctx.heap.read(b2.add(i), 1):
+        if read(b1, 1, off=i) != read(b2, 1, off=i):
             return False
     return True
 
@@ -492,7 +498,7 @@ def is_mem_zeroed(ctx: RunContext, p: Pointer, bufsize: int) -> bool:
             if h.typed_read_u64(p.add(i * 8), loc="is_mem_zeroed") != 0:
                 return False
         tail_start = (bufsize // 8) * 8
-        tail = h.read(p.add(tail_start), bufsize - tail_start, loc="is_mem_zeroed")
+        tail = h.read(p, bufsize - tail_start, loc="is_mem_zeroed", off=tail_start)
     else:
         tail = h.read(p, bufsize, loc="is_mem_zeroed")
     return all(x == 0 for x in tail)

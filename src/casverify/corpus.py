@@ -234,7 +234,7 @@ def _proof_assert_bytes_match_empty(ctx: RunContext):
     strbytes = ctx.heap.alloc(n + 1)
     if n:
         ctx.heap.havoc(strbytes, n)
-    ctx.heap.write(strbytes.add(n), b"\x00")
+    ctx.heap.write(strbytes, b"\x00", off=n)
     # Byte buffer carrying the same content; empty allocation is null.
     bufp = ctx.heap.alloc(ByteBuf.SIZE)
     buf = ByteBuf(ctx, bufp)
@@ -293,10 +293,10 @@ def _proof_pq_s_swap(ctx: RunContext):
     a = sl.nd_size_t_below(ctx, length)
     b = sl.nd_size_t_below(ctx, length)
     ob_i = sl.nd_size_t_below(ctx, total)
-    old = ctx.heap.read(data.add(ob_i), 1)
+    old = ctx.heap.read(data, 1, off=ob_i)
     pq_s_swap(ctx, qp, a, b)
     if pq_s_swap_postcondition(ctx, ob_i, a, b, item_sz):
-        ctx.sassert(S_PQ_EQUIV, ctx.heap.read(data.add(ob_i), 1) == old)
+        ctx.sassert(S_PQ_EQUIV, ctx.heap.read(data, 1, off=ob_i) == old)
     ctx.sassert(S_PQ_POST, array_list_is_valid(ctx, qp))
 
 
@@ -333,7 +333,7 @@ def _proof_is_mem_zeroed(ctx: RunContext):
     dirty = sl.nd_bool(ctx)
     if dirty:
         pos = sl.nd_size_t(ctx)  # size bound stays below the buffer size
-        ctx.heap.write(bufp.add(pos), b"\x01")
+        ctx.heap.write(bufp, b"\x01", off=pos)
     result = is_mem_zeroed(ctx, bufp, 16)
     ctx.sassert(S_ZERO_RESULT, result == (not dirty))
 

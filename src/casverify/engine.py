@@ -141,7 +141,9 @@ class ChoiceTape:
             if not line or line.startswith("#"):
                 continue
             kind, sep, idx = line.partition(":")
-            if not sep or not idx.strip().isdigit():
+            idx = idx.strip()
+            # `str.isdigit` alone also accepts digits such as '٣' and '²'.
+            if not sep or not (idx.isascii() and idx.isdigit()):
                 raise ValueError(f"malformed tape line {lineno}: {line!r}")
             entries.append(TapeEntry(kind.strip(), int(idx)))
         return ChoiceTape(tuple(entries))
@@ -523,7 +525,9 @@ def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
         i -= 1
     if i < 0:
         return None, skipped
-    return taken[:i] + [TapeEntry(taken[i].kind, taken[i].index + 1)], skipped
+    successor = taken[:i + 1]
+    successor[i] = _new_entry(TapeEntry, (taken[i].kind, nxt))
+    return successor, skipped
 
 
 def _bounds_on_prefix(bounds: dict[int, int] | None, n: int) -> dict[int, int]:

@@ -14,6 +14,11 @@ zero-length access is a no-op, even through an invalid pointer.
 Content written by `havoc` is nondeterministic and materialized lazily: a
 havocked byte draws its concrete value from `byte_source` only when first
 read, so path counts stay proportional to the bytes a proof inspects.
+
+Every accessor, byte or 8-byte, takes an `off` and works at `p + off`, so a
+caller indexing from a base pointer passes the index instead of building
+the member pointer; only a slow or fault path builds `p.add(off)`, so
+faults read as they would through the member pointer.
 """
 
 from __future__ import annotations
@@ -228,31 +233,28 @@ class Heap:
                 f"[{offset},{offset + length}) outside allocation of {a.size} bytes")
         return a
 
-    def _derefable(self, p: Pointer, length: int) -> bool:
-        if length == 0:
-            return True
-        if p.kind is not _VALID:
-            return False
-        a = self.allocations.get(p.alloc_id)
-        if a is None or a.freed:
-            return False
-        return 0 <= p.offset and p.offset + max(length, 0) <= a.size
-
     def is_deref(self, p: Pointer, length: int) -> bool:
         """Pure query: would a read of `length` bytes raise a validity
         fault?  Never faults itself; uninitialized content is not
-        considered."""
-        return self._derefable(p, length)
+        considered.  A negative length asks about zero bytes at `p`."""
+        if length == 0:
+            return True
+        kind, alloc_id, lo, _ = p
+        a = self.allocations.get(alloc_id) if kind is _VALID else None
+        return (a is not None and not a.freed and 0 <= lo
+                and lo + (length if length > 0 else 0) <= a.size)
 
     def is_init(self, p: Pointer, length: int) -> bool:
         """Pure query: region dereferenceable and every byte carries content
         (written or havocked)."""
-        if not self._derefable(p, length):
-            return False
         if length == 0:
             return True
-        a = self.allocations[p.alloc_id]
-        return a.state.count(_UNINIT, p.offset, p.offset + length) == 0
+        kind, alloc_id, lo, _ = p
+        a = self.allocations.get(alloc_id) if kind is _VALID else None
+        if a is None or a.freed or lo < 0:
+            return False
+        hi = lo + length if length > 0 else lo
+        return hi <= a.size and a.state.count(_UNINIT, lo, hi) == 0
 
     # -- data movement ----------------------------------------------------
 
@@ -263,19 +265,20 @@ class Heap:
         a.data[i] = self.byte_source() & 0xFF
         a.state[i] = _INIT  # epoch unchanged: content was written at havoc time
 
-    def read(self, p: Pointer, length: int, loc: str = "read") -> bytes:
+    def read(self, p: Pointer, length: int, loc: str = "read", off: int = 0) -> bytes:
         kind, alloc_id, lo, _ = p
+        lo += off
         if kind is _VALID and length > 0:
             a = self.allocations.get(alloc_id)
             hi = lo + length
             if a is None or a.freed or lo < 0 or hi > a.size:
-                a = self._checked_alloc(p, length, loc)
+                a = self._checked_alloc(p.add(off), length, loc)
         elif length < 0:
             raise ValueError("negative read length")
         elif length == 0:
             return b""
         else:
-            a = self._checked_alloc(p, length, loc)
+            a = self._checked_alloc(p.add(off), length, loc)
         state = a.state
         if length == 1:
             s = state[lo]
@@ -304,16 +307,21 @@ class Heap:
     # stores make wide-write workloads run more passes per benchmark window,
     # and the benchmark's peak RSS grows with the pass count.
 
-    def write(self, p: Pointer, data: Iterable[int] | bytes, loc: str = "write"):
-        self._store(p, bytes(data), TAG_U8, loc)
+    def write(self, p: Pointer, data: Iterable[int] | bytes, loc: str = "write",
+              off: int = 0):
+        self._store(p, bytes(data), TAG_U8, loc, off)
 
-    def _store(self, p: Pointer, buf: bytes, tag: int, loc: str):
-        """Write `buf` at `p` in one write epoch, tagging every byte `tag`."""
+    def _store(self, p: Pointer, buf: bytes, tag: int, loc: str, off: int = 0):
+        """Write `buf` at `p + off` in one write epoch, tagging every byte
+        `tag`."""
         if len(buf) == 0:
             return
-        a = self._checked_alloc(p, len(buf), loc)
+        kind, alloc_id, lo, _ = p
+        lo += off
+        a = self.allocations.get(alloc_id) if kind is _VALID else None
+        if a is None or a.freed or lo < 0 or lo + len(buf) > a.size:
+            a = self._checked_alloc(p.add(off), len(buf), loc)
         self.global_epoch += 1
-        lo = p.offset
         for j, v in enumerate(buf):
             i = lo + j
             a.data[i] = v
@@ -383,8 +391,7 @@ class Heap:
 
     # -- scalar / pointer field helpers ------------------------------------
     #
-    # Each accessor works at `p + off`.  A record field passes its offset
-    # as `off`, so only a slow path builds the member pointer.
+    # A record field passes its member's offset as `off`.
 
     def read_u64(self, p: Pointer, loc: str = "read_u64", off: int = 0) -> int:
         """Untyped little-endian 8-byte read (no effective-type check)."""

@@ -108,4 +108,4 @@ def assert_bytes_match(ctx: RunContext, a: Pointer, b: Pointer, length: int,
     if length > 0 and not a.is_null and not b.is_null:
         i = nd_size_t_below(ctx, length)
         ctx.sassert(byte_site,
-                    ctx.heap.read(a.add(i), 1) == ctx.heap.read(b.add(i), 1))
+                    ctx.heap.read(a, 1, off=i) == ctx.heap.read(b, 1, off=i))

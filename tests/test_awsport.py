@@ -70,9 +70,12 @@ def make_buf(ctx, cap, length, buffer):
 # -- record layouts ---------------------------------------------------------------
 
 # Only the ported structs: a test module may define records of its own.
-@pytest.mark.parametrize("cls", [c for c in Record.__subclasses__()
-                                 if c.__module__ == Record.__module__],
-                         ids=lambda c: c.__name__)
+_RECORDS = pytest.mark.parametrize(
+    "cls", [c for c in Record.__subclasses__() if c.__module__ == Record.__module__],
+    ids=lambda c: c.__name__)
+
+
+@_RECORDS
 def test_record_fields_lie_inside_size_and_do_not_overlap(cls):
     ctx = standalone_context()
     rec = cls(ctx, ctx.heap.alloc(cls.SIZE))  # a field past SIZE faults
@@ -87,6 +90,13 @@ def test_record_fields_lie_inside_size_and_do_not_overlap(cls):
         touched = {i for i in range(cls.SIZE) if ctx.heap.is_mod(rec.ptr.add(i), 1)}
         assert len(touched) == 8 and not touched & covered, name
         covered |= touched
+
+
+@_RECORDS
+def test_records_keep_no_instance_dict(cls):
+    # A subclass without `__slots__ = ()` would give every instance a dict.
+    ctx = standalone_context()
+    assert not hasattr(cls(ctx, ctx.heap.alloc(cls.SIZE)), "__dict__")
 
 
 # -- byte_buf -------------------------------------------------------------------
@@ -275,7 +285,7 @@ def make_table(ctx, hashes, entry_count):
     st.num_slots = len(hashes)
     st.slots = ctx.heap.alloc(len(hashes) * HashEntry.SIZE)
     for i, code in enumerate(hashes):
-        entry = HashEntry(ctx, st.entry(i))
+        entry = HashEntry(ctx, st.slots.add(i * HashEntry.SIZE))
         entry.hash_code = code
         entry.key = NULL_PTR
         entry.value = NULL_PTR

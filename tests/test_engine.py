@@ -676,6 +676,10 @@ def test_tape_parse_rejects_garbage():
         ChoiceTape.from_text("bool=1\n")
     with pytest.raises(ValueError):
         ChoiceTape.from_text("bool:x\n")
+    # Only ASCII decimal digits index a tape entry.
+    for line in ("sizet:\u0663", "bool:\u00b2"):
+        with pytest.raises(ValueError, match="malformed tape line 2"):
+            ChoiceTape.from_text("bool:1\n" + line + "\n")
 
 
 @settings(max_examples=50)

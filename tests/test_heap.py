@@ -517,6 +517,26 @@ def ref_read(h: Heap, p: Pointer, length: int, loc: str) -> bytes:
     return bytes(a.data[p.offset:p.offset + length])
 
 
+def ref_is_deref(h: Heap, p: Pointer, length: int) -> bool:
+    """`Heap.is_deref` byte by byte: every byte of the region lies inside
+    a live allocation, and a negative length is the empty region at `p`."""
+    if length == 0:
+        return True
+    if p.kind is not PtrKind.VALID:
+        return False
+    a = h.allocations.get(p.alloc_id)
+    if a is None or a.freed:
+        return False
+    return 0 <= p.offset <= a.size and all(
+        0 <= i < a.size for i in range(p.offset, p.offset + length))
+
+
+def ref_is_init(h: Heap, p: Pointer, length: int) -> bool:
+    return ref_is_deref(h, p, length) and (length == 0 or all(
+        h.allocations[p.alloc_id].state[i] != _UNINIT
+        for i in range(p.offset, p.offset + length)))
+
+
 def ref_read_u64(h: Heap, p: Pointer, loc: str = "read_u64") -> int:
     return int.from_bytes(ref_read(h, p, 8, loc), "little")
 
@@ -538,6 +558,11 @@ def ref_store(h: Heap, p: Pointer, buf: bytes, tag: int, loc: str):
     for j, v in enumerate(buf):
         i = p.offset + j
         a.data[i], a.state[i], a.epochs[i], a.tags[i] = v, _INIT, h.global_epoch, tag
+
+
+def ref_write(h: Heap, p: Pointer, data: bytes, loc: str):
+    if data:
+        ref_store(h, p, data, TAG_U8, loc)
 
 
 def ref_write_u64(h: Heap, p: Pointer, value: int, loc: str = "write_u64"):
@@ -569,6 +594,10 @@ def _fused_ops(h, p, arg):
     return {
         "read1": lambda: h.read(p, 1, "r"),
         "readn": lambda: h.read(p, arg, "r"),
+        # `arg` is the offset, or a (length or data, offset) pair.
+        "read1_off": lambda: h.read(p, 1, "r", off=arg),
+        "readn_off": lambda: h.read(p, arg[0], "r", off=arg[1]),
+        "write_off": lambda: h.write(p, arg[0], "w", off=arg[1]),
         "read_u64": lambda: h.read_u64(p),
         "read_ptr": lambda: h.read_ptr(p),
         "write_u64": lambda: h.write_u64(p, arg),
@@ -585,6 +614,9 @@ def _reference_ops(h, p, arg):
     return {
         "read1": lambda: ref_read(h, p, 1, "r"),
         "readn": lambda: ref_read(h, p, arg, "r"),
+        "read1_off": lambda: ref_read(h, p.add(arg), 1, "r"),
+        "readn_off": lambda: ref_read(h, p.add(arg[1]), arg[0], "r"),
+        "write_off": lambda: ref_write(h, p.add(arg[1]), arg[0], "w"),
         "read_u64": lambda: ref_read_u64(h, p),
         "read_ptr": lambda: ref_read_ptr(h, p),
         "write_u64": lambda: ref_write_u64(h, p, arg),
@@ -614,13 +646,17 @@ def _heap_state(h: Heap):
 
 
 _ARG_KIND = {"write_u64": "u64", "typed_write_u64": "u64",
-             "set_u64_field": "u64", "write_ptr": "ptr", "set_ptr_field": "ptr"}
+             "set_u64_field": "u64", "write_ptr": "ptr", "set_ptr_field": "ptr",
+             "read1_off": "off", "readn_off": "read_off", "write_off": "write_off"}
 _OPS = sorted(_fused_ops(None, NULL_PTR, None))
 _STORE_OPS = ["typed_write_u64", "write_ptr", "write_u64"]
 _ARGS = {
     "u64": st.integers(0, 2**65),
     "ptr": st.sampled_from([NULL_PTR, Pointer.valid(1, 3), Pointer.valid(4, 0),
                             Pointer.wild("w")]),
+    "off": st.integers(-3, 10),
+    "read_off": st.tuples(st.integers(-1, 10), st.integers(-3, 10)),
+    "write_off": st.tuples(st.binary(max_size=10), st.integers(-3, 10)),
 }
 
 
@@ -640,9 +676,12 @@ def test_fused_accessors_match_per_byte_reference(data):
     """Two heaps built alike run the same accesses, one through the fused
     methods and record fields, one through the per-byte reference.  Up to
     three random 8-byte stores come first.  Then every access, with reads
-    of several lengths, is tried on freshly built heaps: through a valid
-    and a freed allocation at the edge offsets and two random ones, and
-    through an unknown, a null and a wild pointer."""
+    of several lengths and byte accesses at an `off`, is tried on freshly
+    built heaps: through a valid and a freed allocation at the edge offsets
+    and two random ones, and through an unknown, a null and a wild pointer.
+    Last, `is_deref` and `is_init` answer as the reference does through
+    the same pointers, at lengths -1, 0 and those ending at or next to the
+    allocation's end."""
     size = data.draw(st.integers(1, 24), label="size")
     states = data.draw(st.one_of(
         st.sampled_from([_INIT, _HAVOC, _UNINIT]).map(lambda s: [s] * size),
@@ -693,6 +732,16 @@ def test_fused_accessors_match_per_byte_reference(data):
             for h, targets, _ in (fused, ref):
                 h.free(targets["freed"])
             _check_same(fused, ref, op, target, offset, arg)
+
+    h, targets, _ = build()
+    h.free(targets["freed"])
+    before = _heap_state(h)
+    for target, offset in sweep:
+        p = targets[target].add(offset)
+        for length in {-1, 0, 1, size - offset - 1, size - offset, size - offset + 1}:
+            assert h.is_deref(p, length) == ref_is_deref(h, p, length), (p, length)
+            assert h.is_init(p, length) == ref_is_init(h, p, length), (p, length)
+    assert _heap_state(h) == before
 
 
 def havocked_slot_proof(ctx):

@@ -53,16 +53,18 @@ def test_report_digest_smoke(monkeypatch):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     # Bound 3 is the first at which the list-loop proof builds more than
-    # two nodes.
-    lines = mod.report_digests([2, 3, 4], [0])
+    # two nodes.  Bound 5 is the benchmark's headline command.
+    lines = mod.report_digests([2, 3, 4, 5], [0])
     assert [label for label, _ in lines] == [
         "run --check-expected --max-bound 2", "run --check-expected --max-bound 3",
-        "run --check-expected --max-bound 4", "matrix --backend random --seed 0"]
+        "run --check-expected --max-bound 4", "run --check-expected --max-bound 5",
+        "matrix --backend random --seed 0"]
     # The normalized reports must not change.  Regenerate these values with
     # `scripts/report_digest.py` only when behaviour is meant to change.
     assert [sha for _, sha in lines] == [
         "fe150dbe54e3580a9f878705f178fb703ca6cb4d89fa9075a9c991457a0766e5",
         "fd0e49e0e2c8ae93e39c26f5cc2144a913cac2f1cdc7d9f837282aae70788666",
         "48013c91a294c73d8992da00144f032d48a2439003cdacd7a8296f59a7820c94",
+        "758f888b078d13143beab0eb4dc799800e7aff7037f9fe45f1370ffdc8b0d08c",
         "464fe7e079578f6c3398229da4aa7dda2496f1057cb246e11f41a34056915d02",
     ]
