@@ -25,7 +25,6 @@ from .heap import (
     Fault,
     FaultKind,
     Heap,
-    HeapConfig,
     MemoryFaultError,
     Pointer,
     UsageError,
@@ -38,7 +37,7 @@ __all__ = [
     "AssertionSite", "ChoiceTape", "Domain", "ExploreConfig",
     "ReplayMismatchError", "RunContext", "RunReport", "Verdict",
     "explore", "replay", "standalone_context",
-    "Fault", "FaultKind", "Heap", "HeapConfig", "MemoryFaultError",
+    "Fault", "FaultKind", "Heap", "MemoryFaultError",
     "Pointer", "UsageError",
     "VacuityReport", "analyze", "overall_status",
     "__version__",

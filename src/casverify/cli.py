@@ -5,6 +5,9 @@
     verify replay PROOF TAPE_FILE [--variant buggy]
     verify matrix [--backend random] [--advisory]
 
+Each command accepts only the flags it reads: `replay` takes no search flag
+(--backend, --max-paths, --random-budget, --seed) and `matrix` no --variant.
+
 Exit codes: 0 all verdicts as required, 1 verdict failure or expectation
 mismatch, 2 usage error (bad flags or configuration, no proofs matched,
 unreadable tape, unwritable output path).
@@ -30,20 +33,25 @@ _COMMANDS = ("run", "replay", "matrix")
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--backend", choices=[EXHAUSTIVE, RANDOM], default=None)
+    """Scope and semantics flags, which every command reads."""
     p.add_argument("--max-bound", dest="size_bound", type=int, default=None,
                    help="small-scope bound for size draws")
     p.add_argument("--byte-domain", default=None,
                    help="comma-separated byte values, e.g. 0,1,255")
-    p.add_argument("--max-paths", dest="max_paths", type=int, default=None)
     p.add_argument("--max-choices", dest="max_choices_per_path", type=int, default=None)
-    p.add_argument("--random-budget", dest="random_budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--malloc-can-fail", dest="malloc_can_fail",
                    action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--typed-access-check", dest="typed_access_check",
                    action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--variant", choices=["fixed", "buggy"], default="fixed")
+
+
+def _add_search_flags(p: argparse.ArgumentParser):
+    """Search flags, which only the exploring commands `run` and `matrix`
+    read."""
+    p.add_argument("--backend", choices=[EXHAUSTIVE, RANDOM], default=None)
+    p.add_argument("--max-paths", dest="max_paths", type=int, default=None)
+    p.add_argument("--random-budget", dest="random_budget", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
 
 
 def _add_output_flags(p: argparse.ArgumentParser, default_format: str):
@@ -70,18 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--save-tapes", default=None,
                        help="directory for counterexample tape files")
     _add_config_flags(run_p)
+    _add_search_flags(run_p)
+    run_p.add_argument("--variant", choices=["fixed", "buggy"], default="fixed")
     _add_output_flags(run_p, "json")
 
     rep_p = sub.add_parser("replay", help="re-run one recorded counterexample")
     rep_p.add_argument("proof")
     rep_p.add_argument("tape")
     _add_config_flags(rep_p)
+    rep_p.add_argument("--variant", choices=["fixed", "buggy"], default="fixed")
 
     mat_p = sub.add_parser("matrix", help="run the seeded-bug detection matrix")
     mat_p.add_argument("--proofs", default="all")
     mat_p.add_argument("--advisory", action="store_true",
                        help="report mismatches without failing the exit code")
     _add_config_flags(mat_p)
+    _add_search_flags(mat_p)
     _add_output_flags(mat_p, "markdown")
     return parser
 
@@ -107,7 +119,7 @@ def config_from_args(args) -> ExploreConfig:
             overrides["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"CAS_SEED={env_seed!r} is not an integer") from None
-    return ExploreConfig().with_overrides(**overrides)
+    return ExploreConfig(**overrides)
 
 
 def _select(pattern: str) -> list[ProofEntry]:

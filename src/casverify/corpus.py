@@ -5,7 +5,8 @@ assignment, config overrides, and the verdict the case must produce.  The
 expected verdicts are code, not documentation; running the corpus against
 them is the framework's own regression suite.
 
-Seeded bugs and their detection channels:
+Seeded bugs (the detection channel of each is vacuity if its buggy case
+expects pass_but_vacuous, and a counterexample otherwise):
 
   bug1  byte_buf invariant requires writability of len instead of capacity;
         a failing allocation then admits a null buffer with capacity > 0 and
@@ -24,8 +25,8 @@ Seeded bugs and their detection channels:
   bug6  the hash_iter_delete stub forgets to decrement entry_count, so a
         delete leaves the table violating its representation invariant.
   bug7  zeroed-memory check reads byte-written storage through a u64-typed
-        access; with effective-type checking on this is a typed-access
-        violation.  Invisible when the check is off.
+        access, a typed-access violation under the default effective-type
+        checking.  Invisible when the check is off (case buggy_nocheck).
 
 Bugs 1, 4 and 6 are also the three headline specification-bug shapes
 (invariant-too-weak, dead postcondition guard, stale stub).
@@ -33,7 +34,7 @@ Bugs 1, 4 and 6 are also the three headline specification-bug shapes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import speclib as sl
 from .awsport import (
@@ -146,8 +147,6 @@ class ProofEntry:
     cases: tuple[ProofCase, ...]
     bug_id: str | None = None             # set: the "buggy" case must expose it
     bug_alias: str | None = None
-    detect_channel: str | None = None
-    base_overrides: dict = field(default_factory=dict)
 
     def case(self, label: str) -> ProofCase:
         for c in self.cases:
@@ -168,9 +167,7 @@ class ProofEntry:
         return ProofCase(variant, None, buggy=buggy)
 
     def config_for(self, base: ExploreConfig, case: ProofCase) -> ExploreConfig:
-        merged = dict(self.base_overrides)
-        merged.update(case.overrides)
-        return base.with_overrides(**merged) if merged else base
+        return replace(base, **case.overrides) if case.overrides else base
 
 
 # -- assertion sites ----------------------------------------------------------
@@ -402,7 +399,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_BB_POST,),
             bug_id="bug1",
             bug_alias="invariant too weak",
-            detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy",
@@ -422,7 +418,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=sl.bytes_match_sites(),
             bug_id="bug2",
             bug_alias="missing zero-length case",
-            detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy",
@@ -439,7 +434,6 @@ def register_corpus() -> list[ProofEntry]:
                         "hold for them",
             body=_proof_mul_checked_restricted,
             sites=(S_MUL_EXACT, S_MUL_OVF),
-            base_overrides={"u64_values": (0, 1, 2, (1 << 32) - 1, 1 << 33, U64_MAX)},
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy", _PASS,
@@ -456,8 +450,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_MUL_EXACT, S_MUL_OVF),
             bug_id="bug3",
             bug_alias="wrong overflow predicate",
-            detect_channel=CHANNEL_COUNTEREXAMPLE,
-            base_overrides={"u64_values": (0, 1, 2, (1 << 32) - 1, 1 << 33, U64_MAX)},
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy",
@@ -477,7 +469,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_PQ_EQUIV, S_PQ_POST),
             bug_id="bug4",
             bug_alias="dead postcondition guard",
-            detect_channel=CHANNEL_VACUITY,
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy",
@@ -497,7 +488,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_HCS_LEN,) + sl.bytes_match_sites("hash_string_eq"),
             bug_id="bug5",
             bug_alias="weak string precondition",
-            detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy",
@@ -515,7 +505,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_HT_POST,),
             bug_id="bug6",
             bug_alias="stale specification stub",
-            detect_channel=CHANNEL_COUNTEREXAMPLE,
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy",
@@ -533,8 +522,6 @@ def register_corpus() -> list[ProofEntry]:
             sites=(S_ZERO_RESULT,),
             bug_id="bug7",
             bug_alias="type-punned read",
-            detect_channel=CHANNEL_COUNTEREXAMPLE,
-            base_overrides={"typed_access_check": True},
             cases=(
                 ProofCase("fixed", _PASS),
                 ProofCase("buggy",
@@ -673,11 +660,12 @@ def run_matrix(base_cfg: ExploreConfig,
             vac_cell = CELL_NA
         else:
             vac_cell = CELL_DETECTED if result.vacuity.vacuous_groups else CELL_MISSED
-        if entry.detect_channel == CHANNEL_VACUITY:
+        if result.case.expected.status == STATUS_PASS_BUT_VACUOUS:
+            channel = CHANNEL_VACUITY
             matched = ce == CELL_MISSED and vac_cell == CELL_DETECTED
         else:
+            channel = CHANNEL_COUNTEREXAMPLE
             matched = result.matched and ce == CELL_DETECTED
         rows.append(MatrixRow(entry.bug_id, entry.bug_alias or "", entry.name,
-                              ce, vac_cell, entry.detect_channel, matched,
-                              note=result.detail))
+                              ce, vac_cell, channel, matched, note=result.detail))
     return DetectionMatrix(base_cfg.backend, rows, results)

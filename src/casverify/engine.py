@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .heap import U64_MAX, Fault, Heap, HeapConfig, MemoryFaultError, Pointer, UsageError
+from .heap import U64_MAX, Fault, Heap, MemoryFaultError, Pointer, UsageError
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -166,16 +166,20 @@ class AssertionSite:
 
 @dataclass(frozen=True)
 class ExploreConfig:
+    """Every setting of an exploration.  The defaults are the semantics the
+    corpus runs under: malloc may fail, 8-byte typed reads check effective
+    types, and malloc(0) returns null."""
+
     backend: str = EXHAUSTIVE
     size_bound: int = 4
     byte_domain: tuple[int, ...] = (0x00, 0x01, 0xFF)
-    u64_values: tuple[int, ...] | None = None
     max_paths: int = 100_000
     max_choices_per_path: int = 64
     random_budget: int = 10_000
     seed: int = 0
     malloc_can_fail: bool = True
-    heap: HeapConfig = field(default_factory=HeapConfig)
+    typed_access_check: bool = True
+    zero_alloc_returns_null: bool = True
 
     def __post_init__(self):
         if self.backend not in (EXHAUSTIVE, RANDOM):
@@ -186,43 +190,20 @@ class ExploreConfig:
         for name in ("max_paths", "max_choices_per_path", "random_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        _check_values("byte_domain", self.byte_domain, 0xFF)
-        if self.u64_values is not None:
-            _check_values("u64_values", self.u64_values, U64_MAX)
+        values = self.byte_domain
+        if not values:
+            raise ValueError("byte_domain must be non-empty")
+        if len(set(values)) != len(values):
+            raise ValueError("byte_domain values must be duplicate-free")
+        if not all(0 <= v <= 0xFF for v in values):
+            raise ValueError("byte_domain values must lie in 0..255")
 
-    def u64_domain_values(self) -> tuple[int, ...]:
-        if self.u64_values is not None:
-            return self.u64_values
-        return tuple(sorted({0, 1, 2, self.size_bound, (1 << 32) - 1, U64_MAX}))
-
-    # The draw domains a config implies, built and validated on first use.
-    # cached_property stores into the instance dict, past the frozen
-    # __setattr__; fields, equality and hashing are unaffected.
-
+    # The byte domain, built and validated on first use.  cached_property
+    # stores into the instance dict, past the frozen __setattr__; fields,
+    # equality and hashing are unaffected.
     @functools.cached_property
     def byte_dom(self) -> Domain:
         return Domain.u8(self.byte_domain)
-
-    @functools.cached_property
-    def u64_dom(self) -> Domain:
-        return Domain.u64(self.u64_domain_values())
-
-    def with_overrides(self, **kw) -> "ExploreConfig":
-        heap_kw = {k: kw.pop(k) for k in list(kw)
-                   if k in HeapConfig.__dataclass_fields__}
-        cfg = replace(self, **kw)
-        if heap_kw:
-            cfg = replace(cfg, heap=replace(cfg.heap, **heap_kw))
-        return cfg
-
-
-def _check_values(name: str, values: tuple[int, ...], top: int) -> None:
-    if not values:
-        raise ValueError(f"{name} must be non-empty")
-    if len(set(values)) != len(values):
-        raise ValueError(f"{name} values must be duplicate-free")
-    if not all(0 <= v <= top for v in values):
-        raise ValueError(f"{name} values must lie in 0..{top}")
 
 
 VERDICT_PASS = "pass"
@@ -357,7 +338,9 @@ class RunContext:
         self.bounds: dict[int, int] | None = None
         self._wild_count = 0
         # Havocked bytes are drawn from the configured byte domain.
-        self.heap = Heap(cfg.heap, byte_source=functools.partial(self.choice, cfg.byte_dom))
+        self.heap = Heap(functools.partial(self.choice, cfg.byte_dom),
+                         typed_access_check=cfg.typed_access_check,
+                         zero_alloc_returns_null=cfg.zero_alloc_returns_null)
 
     # -- draws --------------------------------------------------------------
 

@@ -125,12 +125,6 @@ class UsageError(Exception):
     memory fault found in the code under proof."""
 
 
-@dataclass(frozen=True)
-class HeapConfig:
-    typed_access_check: bool = False
-    zero_alloc_returns_null: bool = True
-
-
 U64_MAX = (1 << 64) - 1
 
 # Byte initialization states.
@@ -162,12 +156,17 @@ class Allocation:
 
 class Heap:
     """Single-proof-run heap.  Not safe for concurrent mutation; a run owns
-    its heap wholesale."""
+    its heap wholesale.
 
-    def __init__(self, config: HeapConfig | None = None,
-                 byte_source: Callable[[], int] | None = None):
-        self.config = config or HeapConfig()
+    `typed_access_check` makes `typed_read_u64` fault on bytes last written
+    with a narrower type; `zero_alloc_returns_null` makes `alloc(0)` return
+    null instead of a distinct 0-byte block."""
+
+    def __init__(self, byte_source: Callable[[], int] | None = None, *,
+                 typed_access_check: bool = True, zero_alloc_returns_null: bool = True):
         self.byte_source = byte_source
+        self.typed_access_check = typed_access_check
+        self.zero_alloc_returns_null = zero_alloc_returns_null
         self.allocations: dict[int, Allocation] = {}
         self.global_epoch = 0
         self.tracking_epoch: int | None = None
@@ -190,7 +189,7 @@ class Heap:
     def alloc(self, size: int) -> Pointer:
         if size < 0:
             raise ValueError("negative allocation size")
-        if size == 0 and self.config.zero_alloc_returns_null:
+        if size == 0 and self.zero_alloc_returns_null:
             return NULL_PTR
         alloc_id = self._next_id
         self._next_id = alloc_id + 1
@@ -378,7 +377,7 @@ class Heap:
 
     def typed_read_u64(self, p: Pointer, loc: str = "typed_read_u64") -> int:
         a = self._checked_alloc(p, 8, loc)
-        if self.config.typed_access_check:
+        if self.typed_access_check:
             for i in range(p.offset, p.offset + 8):
                 if a.tags[i] not in (TAG_NONE, TAG_U64):
                     self._raise_fault(

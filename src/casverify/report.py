@@ -14,14 +14,12 @@ from .engine import ExploreConfig, RunReport
 from .vacuity import (STATUS_BUDGET, STATUS_FAIL, STATUS_PASS,
                       STATUS_PASS_BUT_VACUOUS, VacuityReport)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def config_dict(cfg: ExploreConfig) -> dict:
     d = asdict(cfg)
     d["byte_domain"] = list(cfg.byte_domain)
-    if cfg.u64_values is not None:
-        d["u64_values"] = list(cfg.u64_values)
     return d
 
 

@@ -15,7 +15,12 @@ from __future__ import annotations
 import functools
 
 from .engine import AssertionSite, Domain, RunContext
-from .heap import NULL_PTR, Pointer
+from .heap import NULL_PTR, U64_MAX, Pointer
+
+# The 64-bit values `nd_u64` draws: the small values, both sides of the
+# 32-bit boundary and the maximum.  Two mid-sized factors overflow a product
+# without overflowing their sum.
+U64_BOUNDARY = Domain.u64((0, 1, 2, (1 << 32) - 1, 1 << 33, U64_MAX))
 
 
 # -- nondet constructors ----------------------------------------------------
@@ -33,8 +38,8 @@ def nd_size_t_below(ctx: RunContext, n: int) -> int:
 
 
 def nd_u64(ctx: RunContext) -> int:
-    """Arbitrary 64-bit value drawn from the configured boundary set."""
-    return ctx.choice(ctx.cfg.u64_dom)
+    """Arbitrary 64-bit value drawn from `U64_BOUNDARY`."""
+    return ctx.choice(U64_BOUNDARY)
 
 
 def nd_u8(ctx: RunContext) -> int:

@@ -38,7 +38,9 @@ class OracleContext:
         self._buggy = buggy
         self._wilds = 0
         byte_dom = Domain.u8(cfg.byte_domain)
-        self.heap = Heap(cfg.heap, byte_source=lambda: self.choice(byte_dom))
+        self.heap = Heap(lambda: self.choice(byte_dom),
+                         typed_access_check=cfg.typed_access_check,
+                         zero_alloc_returns_null=cfg.zero_alloc_returns_null)
 
     def choice(self, domain):
         if self._pos >= len(self._forced):

@@ -7,9 +7,11 @@ size bound at most 4, a 3-value byte domain, and a 100k path budget.
 
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 
+from casverify import speclib as sl
 from casverify.corpus import (
     CELL_DETECTED,
     CELL_MISSED,
@@ -114,7 +116,7 @@ def test_criterion_3_bug_masking(case_results):
     assert case_results[("byte_buf_invariant", "buggy")].status == "fail"
     entry = corpus_by_name()["byte_buf_invariant"]
     flipped = run_case(entry, entry.case("buggy"),
-                       ACCEPT_CFG.with_overrides(malloc_can_fail=False))
+                       replace(ACCEPT_CFG, malloc_can_fail=False))
     assert flipped.status == "pass"
     _passline(3, "bug masking reproduction")
 
@@ -152,7 +154,7 @@ def test_criterion_5_stub_unboundedness():
     stub, loop = corpus["linked_list_front_stub"], corpus["linked_list_front_loop"]
     stub_paths, loop_paths = [], []
     for k in (2, 4, 8):
-        cfg = ACCEPT_CFG.with_overrides(size_bound=k)
+        cfg = replace(ACCEPT_CFG, size_bound=k)
         stub_paths.append(run_case(stub, stub.case("fixed"), cfg)
                           .report.paths_explored)
         loop_paths.append(run_case(loop, loop.case("fixed"), cfg)
@@ -189,7 +191,7 @@ def test_criterion_6_replay_determinism(case_results):
 def test_criterion_7_arithmetic_oracle():
     """Checked multiply/add agree with exact integer arithmetic on the full
     boundary-domain cross product (36 pairs, exact)."""
-    values = ACCEPT_CFG.u64_domain_values()
+    values = sl.U64_BOUNDARY.values
     pairs = list(itertools.product(values, repeat=2))
     assert len(pairs) == 36
     for a, b in pairs:
@@ -211,8 +213,7 @@ def test_criterion_8_random_backend_sanity():
     must_detect = {"bug1", "bug2", "bug6"}
     recorded_misses = {}
     for seed in range(20):
-        cfg = ACCEPT_CFG.with_overrides(backend=RANDOM, random_budget=10_000,
-                                        seed=seed)
+        cfg = replace(ACCEPT_CFG, backend=RANDOM, random_budget=10_000, seed=seed)
         matrix = run_matrix(cfg)
         found = {r.bug_id for r in matrix.rows if r.counterexample == CELL_DETECTED}
         assert must_detect <= found, (seed, must_detect - found)

@@ -264,7 +264,7 @@ def test_mul_checked_examples():
 
 
 def test_checked_arithmetic_matches_exact_oracle():
-    values = ExploreConfig(size_bound=4).u64_domain_values()
+    values = sl.U64_BOUNDARY.values
     assert len(values) == 6
     for a, b in itertools.product(values, repeat=2):
         ok, result = mul_u64_checked(a, b)
@@ -401,7 +401,7 @@ def test_is_mem_zeroed_fixed(ctx):
 
 
 def test_is_mem_zeroed_handles_tail():
-    fixed, buggy = fixed_and_buggy("is_mem_zeroed")  # typed check off
+    fixed, buggy = fixed_and_buggy("is_mem_zeroed", exh(typed_access_check=False))
     assert is_mem_zeroed(fixed, zeroed_buffer(fixed, 11), 11)
     p = zeroed_buffer(buggy, 11)
     assert is_mem_zeroed(buggy, p, 11)
@@ -410,8 +410,7 @@ def test_is_mem_zeroed_handles_tail():
 
 
 def test_is_mem_zeroed_buggy_trips_typed_check():
-    cfg = ExploreConfig().with_overrides(typed_access_check=True)
-    fixed, buggy = fixed_and_buggy("is_mem_zeroed", cfg)
+    fixed, buggy = fixed_and_buggy("is_mem_zeroed")  # typed check on by default
     assert is_mem_zeroed(fixed, zeroed_buffer(fixed, 16), 16)  # untyped reads stay fine
     p = zeroed_buffer(buggy, 16)
     with pytest.raises(MemoryFaultError) as e:

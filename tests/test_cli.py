@@ -181,6 +181,37 @@ def test_cas_seed_env_overrides_flag(tmp_path, monkeypatch):
     assert doc["config"]["seed"] == 777
 
 
+@pytest.mark.parametrize("flag,status,fault_kind", [
+    ([], "fail", "TypedAccessViolation"),
+    (["--typed-access-check"], "fail", "TypedAccessViolation"),
+    (["--no-typed-access-check"], "pass", None),
+], ids=["default", "on", "off"])
+def test_typed_access_check_flag_is_honoured(flag, status, fault_kind, tmp_path):
+    out = tmp_path / "zeroed.json"
+    code = run_cli("--proofs", "is_mem_zeroed", "--variant", "buggy", "--max-bound", "3",
+                   *flag, "-o", str(out))
+    assert code == (0 if status == "pass" else 1)
+    doc = json.loads(out.read_text())
+    assert doc["config"]["typed_access_check"] is (status == "fail")
+    assert doc["proofs"][0]["status"] == status
+    assert doc["proofs"][0]["verdict"]["fault_kind"] == fault_kind
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "is_mem_zeroed", "{tape}", "--seed", "3"],
+    ["replay", "is_mem_zeroed", "{tape}", "--backend", "random"],
+    ["replay", "is_mem_zeroed", "{tape}", "--max-paths", "5"],
+    ["replay", "is_mem_zeroed", "{tape}", "--random-budget", "5"],
+    ["matrix", "--variant", "fixed"],
+], ids=["replay_seed", "replay_backend", "replay_max_paths", "replay_random_budget",
+        "matrix_variant"])
+def test_flag_the_command_does_not_read_exit_2(argv, tmp_path, capsys):
+    tape = tmp_path / "t.tape"
+    tape.write_text("bool:0\n")
+    assert run_cli(*[a.format(tape=tape) for a in argv]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def _normalized(path):
     text = path.read_text()
     return re.sub(r'"wall_time": [0-9eE+.-]+', '"wall_time": 0', text)

@@ -4,6 +4,8 @@ import pytest
 
 from casverify.corpus import (
     CELL_DETECTED,
+    CHANNEL_COUNTEREXAMPLE,
+    CHANNEL_VACUITY,
     CELL_MISSED,
     CELL_NA,
     corpus_by_name,
@@ -75,6 +77,14 @@ def test_every_buggy_helper_is_asked(monkeypatch):
     assert checked == 10
 
 
+def test_free_runs_use_the_base_config():
+    # A free run changes no setting, so every flag reaches every proof.
+    base = base_cfg()
+    for entry in register_corpus():
+        for variant in ("fixed", "buggy"):
+            assert entry.config_for(base, entry.free_case(variant)) is base, entry.name
+
+
 def test_bug_masking_flag_flip():
     corpus = corpus_by_name()
     entry = corpus["byte_buf_invariant"]
@@ -120,9 +130,11 @@ def test_matrix_shape_and_channels():
     by_bug = {r.bug_id: r for r in matrix.rows}
     assert by_bug["bug4"].counterexample == CELL_MISSED
     assert by_bug["bug4"].vacuity == CELL_DETECTED
+    assert by_bug["bug4"].expected_channel == CHANNEL_VACUITY
     for bug in ("bug1", "bug2", "bug3", "bug5", "bug6", "bug7"):
         assert by_bug[bug].counterexample == CELL_DETECTED
         assert by_bug[bug].vacuity == CELL_NA
+        assert by_bug[bug].expected_channel == CHANNEL_COUNTEREXAMPLE
 
 
 def test_matrix_determinism():

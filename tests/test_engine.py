@@ -11,7 +11,6 @@ from casverify.engine import (
     KIND_BOOL,
     KIND_SIZET,
     KIND_U8,
-    KIND_U64,
     KIND_WILD,
     EXHAUSTIVE,
     RANDOM,
@@ -21,7 +20,6 @@ from casverify.engine import (
     ExploreConfig,
     ReplayMismatchError,
     TapeEntry,
-    U64_MAX,
     _random_index,
     explore,
     replay,
@@ -437,21 +435,8 @@ def test_backend_validated():
     with pytest.raises(ValueError, match="backend"):
         ExploreConfig(backend="bfs")
     with pytest.raises(ValueError, match="backend"):
-        ExploreConfig().with_overrides(backend="replay")
-    assert ExploreConfig().with_overrides(backend=RANDOM).backend == RANDOM
-
-
-@pytest.mark.parametrize("values", [(), (1, 1), (-1,), (1 << 70,), (0, U64_MAX + 1)],
-                         ids=["empty", "duplicate", "negative", "too_wide", "max_plus_one"])
-def test_u64_values_validated(values):
-    # Rejected when the config is built, not as a failing verdict later.
-    with pytest.raises(ValueError, match="u64_values"):
-        ExploreConfig(u64_values=values)
-
-
-def test_u64_values_accepts_the_full_range():
-    cfg = ExploreConfig(u64_values=(0, U64_MAX))
-    assert cfg.u64_dom.values == (0, U64_MAX)
+        dataclasses.replace(ExploreConfig(), backend="replay")
+    assert dataclasses.replace(ExploreConfig(), backend=RANDOM).backend == RANDOM
 
 
 # -- monotonicity in the size bound ----------------------------------------------------
@@ -641,8 +626,6 @@ def test_domain_validation():
     for _ in range(2):  # a failed build is not cached
         with pytest.raises(ValueError):
             Domain.size_t(-1)
-    with pytest.raises(ValueError):
-        exh(u64_values=(1, 1)).u64_dom
 
 
 def test_cached_domains_equal_fresh_ones():
@@ -651,16 +634,10 @@ def test_cached_domains_equal_fresh_ones():
     assert Domain.size_t(3) is Domain.size_t(3) == Domain(KIND_SIZET, (0, 1, 2, 3))
     cfg = exh(size_bound=3, byte_domain=(0x10, 0x20))
     assert cfg.byte_dom is cfg.byte_dom == Domain(KIND_U8, (0x10, 0x20))
-    assert cfg.u64_dom is cfg.u64_dom == Domain(KIND_U64, cfg.u64_domain_values())
     # The cached domains leave the config's value semantics alone.
     twin = exh(size_bound=3, byte_domain=(0x10, 0x20))
     assert cfg == twin and hash(cfg) == hash(twin)
-    assert cfg.with_overrides(byte_domain=(1,)).byte_dom == Domain(KIND_U8, (1,))
-
-
-def test_u64_default_boundary_values():
-    cfg = exh(size_bound=4)
-    assert cfg.u64_domain_values() == (0, 1, 2, 4, 2**32 - 1, 2**64 - 1)
+    assert dataclasses.replace(cfg, byte_domain=(1,)).byte_dom == Domain(KIND_U8, (1,))
 
 
 def test_tape_text_roundtrip():

@@ -20,7 +20,6 @@ from casverify.heap import (
     U64_MAX,
     FaultKind,
     Heap,
-    HeapConfig,
     MemoryFaultError,
     Pointer,
     PtrKind,
@@ -30,11 +29,6 @@ from casverify.heap import (
 )
 
 
-def make_heap(**cfg_kw):
-    byte_source = cfg_kw.pop("byte_source", None)
-    return Heap(HeapConfig(**cfg_kw), byte_source=byte_source)
-
-
 def fault_of(excinfo) -> FaultKind:
     return excinfo.value.fault.kind
 
@@ -42,19 +36,19 @@ def fault_of(excinfo) -> FaultKind:
 # -- allocation ---------------------------------------------------------------
 
 def test_alloc_zero_returns_null():
-    h = make_heap()
+    h = Heap()
     assert h.alloc(0).is_null
 
 
 def test_alloc_zero_config_off_returns_valid():
-    h = make_heap(zero_alloc_returns_null=False)
+    h = Heap(zero_alloc_returns_null=False)
     p = h.alloc(0)
     assert not p.is_null
     assert h.is_deref(p, 0)
 
 
 def test_alloc_fresh_uninit():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(8)
     assert p.kind.value == "valid" and p.offset == 0
     assert not h.is_init(p, 8)
@@ -64,18 +58,18 @@ def test_alloc_fresh_uninit():
 
 
 def test_alloc_ids_distinct():
-    h = make_heap()
+    h = Heap()
     assert h.alloc(4).alloc_id != h.alloc(4).alloc_id
 
 
 # -- free ---------------------------------------------------------------------
 
 def test_free_null_noop():
-    make_heap().free(NULL_PTR)
+    Heap().free(NULL_PTR)
 
 
 def test_double_free():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     h.free(p)
     with pytest.raises(MemoryFaultError) as e:
@@ -84,14 +78,14 @@ def test_double_free():
 
 
 def test_free_wild():
-    h = make_heap()
+    h = Heap()
     with pytest.raises(MemoryFaultError) as e:
         h.free(Pointer.wild("t"))
     assert fault_of(e) is FaultKind.WILD_DEREF
 
 
 def test_free_interior_pointer():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     with pytest.raises(MemoryFaultError) as e:
         h.free(p.add(1))
@@ -99,7 +93,7 @@ def test_free_interior_pointer():
 
 
 def test_use_after_free_read():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     h.write(p, b"abcd")
     h.free(p)
@@ -111,7 +105,7 @@ def test_use_after_free_read():
 # -- read / write -------------------------------------------------------------
 
 def test_zero_length_access_never_faults():
-    h = make_heap()
+    h = Heap()
     assert h.read(NULL_PTR, 0) == b""
     assert h.read(Pointer.wild("w"), 0) == b""
     h.write(NULL_PTR, b"")
@@ -119,7 +113,7 @@ def test_zero_length_access_never_faults():
 
 
 def test_write_read_roundtrip():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     h.write(p, [7])
     assert h.read(p, 1) == b"\x07"
@@ -128,31 +122,31 @@ def test_write_read_roundtrip():
 @settings(max_examples=60)
 @given(st.binary(min_size=1, max_size=32), st.integers(min_value=0, max_value=8))
 def test_write_read_identity(data, pad):
-    h = make_heap()
+    h = Heap()
     p = h.alloc(len(data) + pad)
     h.write(p, data)
     assert h.read(p, len(data)) == data
 
 
 def test_read_null_and_wild():
-    h = make_heap()
+    h = Heap()
     with pytest.raises(MemoryFaultError) as e:
         h.read(NULL_PTR, 1)
     assert fault_of(e) is FaultKind.NULL_DEREF
-    h = make_heap()
+    h = Heap()
     with pytest.raises(MemoryFaultError) as e:
         h.write(Pointer.wild("x"), b"a")
     assert fault_of(e) is FaultKind.WILD_DEREF
 
 
 def test_out_of_bounds():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     h.write(p, b"abcd")
     with pytest.raises(MemoryFaultError) as e:
         h.read(p, 5)
     assert fault_of(e) is FaultKind.OUT_OF_BOUNDS
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     with pytest.raises(MemoryFaultError) as e:
         h.write(p.add(-1), b"a")
@@ -162,7 +156,7 @@ def test_out_of_bounds():
 @settings(max_examples=40)
 @given(st.text(min_size=1, max_size=6), st.integers(min_value=1, max_value=16))
 def test_wild_never_dereferenceable(token, length):
-    h = make_heap()
+    h = Heap()
     w = Pointer.wild(token)
     assert not h.is_deref(w, length)
     with pytest.raises(MemoryFaultError) as e:
@@ -174,7 +168,7 @@ def test_wild_never_dereferenceable(token, length):
 
 def test_havoc_reads_come_from_source():
     drawn = iter([0xAA, 0xBB, 0xCC])
-    h = make_heap(byte_source=lambda: next(drawn))
+    h = Heap(byte_source=lambda: next(drawn))
     p = h.alloc(3)
     h.havoc(p, 3)
     assert h.is_init(p, 3)
@@ -216,7 +210,7 @@ def test_read_matches_per_byte_reference(states, data):
     hi = data.draw(st.integers(lo + 1, size))
     content = data.draw(st.binary(min_size=size, max_size=size))
     heap_draws, ref_draws = [], []
-    h = make_heap(byte_source=logging_source(heap_draws))
+    h = Heap(byte_source=logging_source(heap_draws))
     p = h.alloc(size)
     a = h.allocations[p.alloc_id]
     a.state[:], a.data[:] = bytes(states), content
@@ -236,7 +230,7 @@ def test_read_matches_per_byte_reference(states, data):
 
 
 def test_havoc_without_source_is_usage_error():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(1)
     h.havoc(p, 1)
     with pytest.raises(UsageError):
@@ -244,7 +238,7 @@ def test_havoc_without_source_is_usage_error():
 
 
 def test_havoc_counts_as_write_for_tracking():
-    h = make_heap(byte_source=lambda: 0)
+    h = Heap(byte_source=lambda: 0)
     p = h.alloc(2)
     h.write(p, b"ab")
     h.tracking_on()
@@ -253,7 +247,7 @@ def test_havoc_counts_as_write_for_tracking():
 
 
 def test_havoc_out_of_bounds():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(2)
     with pytest.raises(MemoryFaultError) as e:
         h.havoc(p, 3)
@@ -261,7 +255,7 @@ def test_havoc_out_of_bounds():
 
 
 def test_materialization_does_not_bump_epoch():
-    h = make_heap(byte_source=lambda: 5)
+    h = Heap(byte_source=lambda: 5)
     p = h.alloc(1)
     h.havoc(p, 1)
     h.tracking_on()
@@ -272,7 +266,7 @@ def test_materialization_does_not_bump_epoch():
 # -- is_deref -------------------------------------------------------------------
 
 def test_is_deref_bounds():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     assert h.is_deref(p, 4)
     assert not h.is_deref(p, 5)
@@ -282,7 +276,7 @@ def test_is_deref_bounds():
 
 
 def test_is_deref_ignores_uninit_and_never_faults():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(2)
     assert h.is_deref(p, 2)  # uninit content does not matter
     h.free(p)
@@ -295,7 +289,7 @@ def test_is_deref_ignores_uninit_and_never_faults():
 def test_is_deref_sound_for_read(size, offset, length, freed, null):
     # is_deref true implies read raises no validity fault; uninitialized
     # reads are outside the claim by definition
-    h = make_heap()
+    h = Heap()
     base = h.alloc(size) if size else NULL_PTR
     if freed and not base.is_null:
         h.free(base)
@@ -311,7 +305,7 @@ def test_is_deref_sound_for_read(size, offset, length, freed, null):
 # -- tracking / is_mod ----------------------------------------------------------
 
 def test_is_mod_requires_tracking_on():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(1)
     h.write(p, b"a")
     with pytest.raises(UsageError):
@@ -319,7 +313,7 @@ def test_is_mod_requires_tracking_on():
 
 
 def test_is_mod_basic():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     h.write(p, b"abcd")
     h.tracking_on()
@@ -331,7 +325,7 @@ def test_is_mod_basic():
 
 
 def test_is_mod_second_tracking_wins():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(1)
     h.write(p, b"a")
     h.tracking_on()
@@ -344,7 +338,7 @@ def test_is_mod_epoch_semantics_counts_same_value_rewrite():
     # Pinned: epoch semantics, not byte-comparison semantics.  A write that
     # restores the old value still counts as a modification, while a
     # value-snapshot oracle would say nothing changed.
-    h = make_heap()
+    h = Heap()
     p = h.alloc(1)
     h.write(p, b"a")
     h.tracking_on()
@@ -360,7 +354,7 @@ def test_is_mod_epoch_semantics_counts_same_value_rewrite():
 def test_is_mod_matches_written_set_oracle(writes, lo, length):
     # Brute-force oracle: remember which offsets were written after
     # tracking_on and compare range intersection against is_mod.
-    h = make_heap()
+    h = Heap()
     p = h.alloc(8)
     h.write(p, bytes(8))
     h.tracking_on()
@@ -378,14 +372,14 @@ def test_is_mod_matches_written_set_oracle(writes, lo, length):
 # -- typed access ---------------------------------------------------------------
 
 def test_typed_write_then_typed_read():
-    h = make_heap(typed_access_check=True)
+    h = Heap(typed_access_check=True)
     p = h.alloc(8)
     h.typed_write_u64(p, 0x0102030405060708)
     assert h.typed_read_u64(p) == 0x0102030405060708
 
 
 def test_byte_writes_then_typed_read_violates():
-    h = make_heap(typed_access_check=True)
+    h = Heap(typed_access_check=True)
     p = h.alloc(8)
     h.write(p, bytes(8))
     with pytest.raises(MemoryFaultError) as e:
@@ -394,14 +388,14 @@ def test_byte_writes_then_typed_read_violates():
 
 
 def test_typed_read_check_off_returns_value():
-    h = make_heap()
+    h = Heap(typed_access_check=False)
     p = h.alloc(8)
     h.write(p, (123456789).to_bytes(8, "little"))
     assert h.typed_read_u64(p) == 123456789
 
 
 def test_havoc_clears_tags():
-    h = make_heap(typed_access_check=True, byte_source=lambda: 1)
+    h = Heap(typed_access_check=True, byte_source=lambda: 1)
     p = h.alloc(8)
     h.write(p, bytes(8))
     h.havoc(p, 8)
@@ -409,7 +403,7 @@ def test_havoc_clears_tags():
 
 
 def test_untyped_u64_helpers_roundtrip():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(8)
     h.write_u64(p, 2**63 + 17)
     assert h.read_u64(p) == 2**63 + 17
@@ -418,7 +412,7 @@ def test_untyped_u64_helpers_roundtrip():
 # -- pointer fields --------------------------------------------------------------
 
 def test_ptr_store_roundtrip():
-    h = make_heap()
+    h = Heap()
     slot = h.alloc(8)
     target = h.alloc(4)
     for value in (target, target.add(3), NULL_PTR, Pointer.wild("w1")):
@@ -427,7 +421,7 @@ def test_ptr_store_roundtrip():
 
 
 def test_scribbled_pointer_decodes_wild():
-    h = make_heap()
+    h = Heap()
     slot = h.alloc(8)
     h.write(slot, (0xDEAD).to_bytes(8, "little"))
     decoded = h.read_ptr(slot)
@@ -453,7 +447,7 @@ def test_read_ptr_decodes_only_single_write_ptr_bytes():
         lambda h, t: h.write(t.add(8), h.read(t, 8)),  # a byte copy carries no provenance
     )
     for scribble in scribbles:
-        h = make_heap()
+        h = Heap()
         table, target = live_slot(h)
         scribble(h, table)
         assert h.read(table.add(8), 8) == handle
@@ -462,12 +456,12 @@ def test_read_ptr_decodes_only_single_write_ptr_bytes():
 
 
 def test_read_ptr_of_a_partly_overwritten_pointer_is_wild():
-    h = make_heap()
+    h = Heap()
     table, _ = live_slot(h)
     h.write(table, b"\x01")  # same value, new epoch and tag
     assert h.read_ptr(table).is_wild
     # Pointer tags throughout, but from two write_ptr calls.
-    h = make_heap()
+    h = Heap()
     table, _ = live_slot(h)
     h.write_ptr(table.add(1), NULL_PTR)
     assert h.read(table, 8) == (1).to_bytes(8, "little")
@@ -478,20 +472,20 @@ def test_ptr_field_keeps_provenance():
     def field(h, q):
         return FieldRecord(SimpleNamespace(heap=h), q.add(-_PTR_MEMBER_OFF)).ptr_member
 
-    h = make_heap()
+    h = Heap()
     table, target = live_slot(h)
     h.write(table.add(8), (1).to_bytes(8, "little"))
     assert field(h, table) == target
     assert field(h, table.add(8)).is_wild  # the handle's bytes, not its tag
     # Pointer tags throughout, but from two write_ptr calls.
-    h = make_heap()
+    h = Heap()
     table, _ = live_slot(h)
     h.write_ptr(table.add(1), NULL_PTR)
     assert field(h, table).is_wild
 
 
 def test_read_ptr_of_zero_bytes_is_null():
-    h = make_heap(byte_source=lambda: 0)
+    h = Heap(byte_source=lambda: 0)
     table, _ = live_slot(h)
     h.write(table.add(8), bytes(8))
     assert h.read_ptr(table.add(8)) is NULL_PTR
@@ -709,7 +703,7 @@ def test_fused_accessors_match_per_byte_reference(data):
 
     def build():
         draws = []
-        h = make_heap(byte_source=logging_source(draws) if has_source else None)
+        h = Heap(byte_source=logging_source(draws) if has_source else None)
         allocs = [h.alloc(size), h.alloc(size)]  # the second is freed below
         for p in allocs:
             a = h.allocations[p.alloc_id]
@@ -775,7 +769,7 @@ def test_pointer_value_semantics():
 
 
 def test_equal_pointers_share_one_handle():
-    h = make_heap()
+    h = Heap()
     table, target = live_slot(h)
     h.write_ptr(table.add(8), target.add(1).add(-1))
     assert h.read(table, 8) == h.read(table.add(8), 8)
@@ -809,7 +803,7 @@ def test_ptr_cmp_sorts_null_valid_wild():
 
 
 def test_ptr_cmp_reflexive_and_ordered():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     assert Heap.ptr_cmp(p, p) == 0
     assert Heap.ptr_cmp(NULL_PTR, p) == -1
@@ -837,7 +831,7 @@ def test_ptr_cmp_total_order(p, q, r):
 # -- the recorded fault -------------------------------------------------------------
 
 def test_heap_keeps_the_first_fault():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     h.write(p, b"abcd")
     with pytest.raises(MemoryFaultError) as first:
@@ -854,7 +848,7 @@ def test_heap_keeps_the_first_fault():
 # -- epochs --------------------------------------------------------------------------
 
 def test_global_epoch_strictly_increases():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(4)
     seen = [h.global_epoch]
     h.write(p, b"ab")
@@ -867,7 +861,7 @@ def test_global_epoch_strictly_increases():
 
 
 def test_write_epoch_never_decreases_per_byte():
-    h = make_heap()
+    h = Heap()
     p = h.alloc(2)
     a = h.allocations[p.alloc_id]
     last = list(a.epochs)

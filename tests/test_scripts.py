@@ -62,9 +62,9 @@ def test_report_digest_smoke(monkeypatch):
     # The normalized reports must not change.  Regenerate these values with
     # `scripts/report_digest.py` only when behaviour is meant to change.
     assert [sha for _, sha in lines] == [
-        "fe150dbe54e3580a9f878705f178fb703ca6cb4d89fa9075a9c991457a0766e5",
-        "fd0e49e0e2c8ae93e39c26f5cc2144a913cac2f1cdc7d9f837282aae70788666",
-        "48013c91a294c73d8992da00144f032d48a2439003cdacd7a8296f59a7820c94",
-        "758f888b078d13143beab0eb4dc799800e7aff7037f9fe45f1370ffdc8b0d08c",
-        "464fe7e079578f6c3398229da4aa7dda2496f1057cb246e11f41a34056915d02",
+        "b0d1e91a6ddd373a1df38e3a6081055169de34b7bc3d54b4cb3b75f5276700a4",
+        "9e39e54c4b77c9262cd9a1349ad01a2917f9a8b59ba84c39fb00d3d803b64193",
+        "0f520359cf9d1c3acc064fc4d9198bd9c435c6c0460a8701140ef342aa92293a",
+        "bb1e8e4d2bdd8799e0827fd4b1a6828d3e351ffd460c0cf09f1e2d3ec11c2251",
+        "28879cc08c0582cbafcd392f3709b60f633d62bc64ec128a1b57b82919ca0f0f",
     ]

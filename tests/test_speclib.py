@@ -63,8 +63,9 @@ def test_nd_u64_uses_configured_values():
     def proof(ctx):
         seen.append(sl.nd_u64(ctx))
 
-    explore(proof, exh(u64_values=(0, 5, 9)))
-    assert seen == [0, 5, 9]
+    explore(proof, exh())
+    assert seen == list(sl.U64_BOUNDARY.values)
+    assert sl.U64_BOUNDARY.values == (0, 1, 2, 2**32 - 1, 2**33, 2**64 - 1)
 
 
 # -- memhavoc ----------------------------------------------------------------------
