@@ -30,9 +30,17 @@ Each run gets a fresh `RunContext` and `Heap`.  `_drive` breaks the
 reference cycle between them when the run ends, so both are freed by
 reference counting then, not by the cyclic garbage collector.
 
-A run checks every prefix entry against the domain the proof draws, so a
-proof that is not a deterministic function of its tape raises
-ReplayMismatchError instead of being explored wrongly.
+A proof must be a deterministic function of its tape.  Each draw on a run's
+prefix is checked as it is made: the entry's kind must be the drawn
+domain's and its index must lie in that domain.  Once an exhaustive run
+ends, its prefix is checked against the shape the previous run recorded
+there: the run must have drawn every prefix entry, each from a domain of
+the same size and under the same bound.  Any difference raises
+ReplayMismatchError naming the tape position, instead of the proof being
+explored wrongly.  A replay may leave its tape unconsumed.  A
+counterexample is not re-run, so a proof whose verdict depends on hidden
+state (a global counter, a cache) while its draws stay the same is not
+detected.
 
 `_drive` judges each run once, after it ends, so a proof's `except
 Exception` cannot turn a fault, a tape mismatch or an engine signal (these
@@ -205,6 +213,12 @@ class ExploreConfig:
     def byte_dom(self) -> Domain:
         return Domain.u8(self.byte_domain)
 
+    # The size domain `nd_size_t` draws.  `Domain.size_t` caches it too, so
+    # configs with one size_bound share one domain.
+    @functools.cached_property
+    def size_dom(self) -> Domain:
+        return Domain.size_t(self.size_bound)
+
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -263,7 +277,9 @@ class ChoiceBudgetExceeded(BaseException):
 class ReplayMismatchError(Exception):
     """Tape and proof disagree: different domain kind, index out of range,
     or the proof drew past the end of the tape.  Under `explore` it means
-    the proof drew differently on a prefix an earlier run recorded."""
+    the proof drew differently on a prefix an earlier run recorded: also a
+    domain of another size, another bound, or fewer draws than the prefix
+    holds."""
 
 
 # -- draw extenders ------------------------------------------------------------
@@ -326,7 +342,8 @@ class RunContext:
         # Draws below `_followed` follow the prefix.  A draw at or past
         # `_stop` ends the run: at max_choices_per_path it exceeds the budget
         # before it reads the tape, and without an extender it is a mismatch.
-        self._followed = min(len(prefix), self._max_choices)
+        followed = len(prefix)
+        self._followed = followed if followed < self._max_choices else self._max_choices
         self._stop = self._max_choices if extend is not None else self._followed
         self._extend = extend
         self.mismatch: ReplayMismatchError | None = None
@@ -351,19 +368,21 @@ class RunContext:
         n = len(values)
         if pos < self._followed:
             entry = self._prefix[pos]
-            if entry.kind != domain.kind or not 0 <= entry.index < n:
+            kind, index = entry
+            if kind != domain.kind or not 0 <= index < n:
                 self._mismatch(f"tape entry #{pos + 1} " + (
-                    f"is {entry.kind}, proof drew {domain.kind}" if entry.kind != domain.kind
-                    else f"index {entry.index} outside {domain.kind} domain of {n} values"))
+                    f"is {kind}, proof drew {domain.kind}" if kind != domain.kind
+                    else f"index {index} outside {domain.kind} domain of {n} values"))
         elif pos >= self._stop:
             if pos >= self._max_choices:
                 raise ChoiceBudgetExceeded()
             self._mismatch(f"proof drew choice #{pos + 1} but tape has only {pos} entries")
         else:
-            entry = _new_entry(TapeEntry, (domain.kind, self._extend(pos, n)))
+            index = self._extend(pos, n)
+            entry = _new_entry(TapeEntry, (domain.kind, index))
         taken.append(entry)
         self.sizes.append(n)
-        return values[entry.index]
+        return values[index]
 
     def _mismatch(self, message: str):
         """Record a tape mismatch, for `_drive` to see, and raise it."""
@@ -446,8 +465,12 @@ def explore(proof: Callable, cfg: ExploreConfig, *, name: str = "",
     sitting in never-executed code still shows up (with zero hits) for
     vacuity analysis.
 
-    Raises ReplayMismatchError when the exhaustive backend finds that the
-    proof is not a deterministic function of its tape.
+    Raises ReplayMismatchError when an exhaustive run leaves the tape
+    prefix it follows: a draw of another kind than the recorded entry, an
+    index outside the drawn domain, a domain of another size or another
+    bound than the previous run drew there, or a prefix entry not drawn at
+    all.  Random runs follow no prefix.  A counterexample is not re-run to
+    confirm it.
     """
     if cfg.backend == EXHAUSTIVE:
         return _drive(proof, cfg, EXHAUSTIVE, name, sites, buggy,
@@ -496,15 +519,13 @@ def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
     the two that a bounded draw prunes: every index at or above the bound
     `bounds` records for a position.  Each such leaf ends at that draw, no
     deeper than `taken`."""
-    b = bounds or {}
     skipped = 0
     i = len(taken) - 1
     while i >= 0:
         n, nxt = sizes[i], taken[i].index + 1
-        limit = min(n, b.get(i, n))
-        if nxt < limit:
+        if nxt < n and (bounds is None or nxt < bounds.get(i, n)):
             break
-        skipped += n - max(limit, nxt)
+        skipped += n - nxt
         i -= 1
     if i < 0:
         return None, skipped
@@ -515,6 +536,40 @@ def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
 
 def _bounds_on_prefix(bounds: dict[int, int] | None, n: int) -> dict[int, int]:
     return {pos: b for pos, b in (bounds or {}).items() if pos < n}
+
+
+def _bounds_agree(n: int, was: dict[int, int] | None, now: dict[int, int] | None) -> bool:
+    """Whether two runs' bounds agree at every position below `n`."""
+    for a, b in ((was, now), (now, was)):
+        if a:
+            for pos, bound in a.items():
+                if pos < n and (b is None or b.get(pos) != bound):
+                    return False
+    return True
+
+
+def _prefix_shape_error(prefix: Sequence[TapeEntry], sizes: list[int],
+                        bounds: dict[int, int] | None, ctx: RunContext
+                        ) -> ReplayMismatchError:
+    """Word how a run left the shape the previous run recorded on `prefix`:
+    the first position it did not draw, drew from a domain of another size,
+    or drew under another bound."""
+    n = len(prefix)
+    drawn = ctx.sizes
+    for pos in range(n):
+        if pos >= len(drawn):
+            return ReplayMismatchError(
+                f"tape entry #{pos + 1}: the proof stopped after {pos} of the {n} "
+                f"draws on a recorded prefix")
+        if drawn[pos] != sizes[pos]:
+            return ReplayMismatchError(
+                f"tape entry #{pos + 1}: proof drew a {prefix[pos].kind} domain of "
+                f"{drawn[pos]} values where the previous run on this prefix drew {sizes[pos]}")
+    was, now = _bounds_on_prefix(bounds, n), _bounds_on_prefix(ctx.bounds, n)
+    pos = min(p for p in was.keys() | now.keys() if was.get(p) != now.get(p))
+    return ReplayMismatchError(
+        f"tape entry #{pos + 1}: draw bounds (position: bound) on a recorded prefix "
+        f"changed from {was} to {now}")
 
 
 def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
@@ -535,16 +590,18 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
     proof caught the fault; and any other exception fails it too.  A
     failing run carries its tape, so it replays like any other
     counterexample.  Every run except a pruned one adds its assertion hits,
-    a run cut off by max_choices_per_path included.  An exhaustive run
-    whose bounds on its prefix differ from those the previous run recorded
-    raises ReplayMismatchError."""
+    a run cut off by max_choices_per_path included.  An exhaustive run must
+    keep the shape the previous run recorded on its prefix: it draws every
+    prefix entry, each from a domain of the same size and under the same
+    bound, or ReplayMismatchError is raised."""
     t0 = time.perf_counter()
     hits = {s.site_id: 0 for s in declared}
     explored = pruned = truncated = depth = 0
     failure = None
     exhausted = False
     exhaustive = backend == EXHAUSTIVE
-    bounds = None  # recorded by the previous run
+    sizes: list[int] = []  # recorded by the previous run, like `bounds`
+    bounds = None
     while explored + pruned + truncated < max_runs:
         ctx = new_context(cfg, buggy=buggy, prefix=prefix, extend=extend)
         ended = escaped = None
@@ -581,31 +638,35 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
                 ctx.hits.clear()  # a pruned run contributes no verdict and no hits
             else:
                 truncated += 1
-        if exhaustive and ctx.bounds is not bounds:  # not both None
-            was, now = (_bounds_on_prefix(b, len(prefix)) for b in (bounds, ctx.bounds))
-            if was != now:
-                raise ReplayMismatchError(
-                    f"draw bounds (position: bound) on a recorded prefix changed "
-                    f"from {was} to {now}")
-        depth = max(depth, len(ctx.taken))
+        taken = ctx.taken
+        if exhaustive:
+            # The run's shape on its prefix: what the previous run drew there.
+            # Kind and index range were checked at each draw.
+            followed = len(prefix)
+            if ctx.sizes[:followed] != sizes[:followed] or (
+                    ctx.bounds != bounds and not _bounds_agree(followed, bounds, ctx.bounds)):
+                raise _prefix_shape_error(prefix, sizes, bounds, ctx)
+        if len(taken) > depth:
+            depth = len(taken)
         if ctx.hits:
             for sid, n in ctx.hits.items():
                 hits[sid] = hits.get(sid, 0) + n
         if failure is not None:
             break
         if exhaustive:
-            bounds = ctx.bounds
-            prefix, skipped = _dfs_successor(ctx.taken, ctx.sizes, bounds)
+            sizes, bounds = ctx.sizes, ctx.bounds
+            prefix, skipped = _dfs_successor(taken, sizes, bounds)
             if skipped:
                 room = max_runs - (explored + pruned + truncated)
-                pruned += min(skipped, room)
                 if skipped > room:
+                    pruned += room
                     break
+                pruned += skipped
             if prefix is None:
                 exhausted = True
                 break
     if failure is not None:
-        verdict, complete = replace(failure, tape=ChoiceTape(tuple(ctx.taken))), True
+        verdict, complete = replace(failure, tape=ChoiceTape(tuple(taken))), True
     else:
         verdict, complete = _end_verdict(cfg, backend, explored, truncated, exhausted)
     return RunReport(name, backend, verdict, paths_explored=explored,

@@ -27,14 +27,14 @@ U64_BOUNDARY = Domain.u64((0, 1, 2, (1 << 32) - 1, 1 << 33, U64_MAX))
 
 def nd_size_t(ctx: RunContext) -> int:
     """Arbitrary size value within the engine's small-scope bound."""
-    return ctx.choice(Domain.size_t(ctx.cfg.size_bound))
+    return ctx.choice(ctx.cfg.size_dom)
 
 
 def nd_size_t_below(ctx: RunContext, n: int) -> int:
     """`nd_size_t` followed by `assume(i < n)`, with the same draw, trace
     and prune.  The exhaustive backend counts the values at or above `n` as
     pruned without running them."""
-    return ctx.choice_below(Domain.size_t(ctx.cfg.size_bound), n)
+    return ctx.choice_below(ctx.cfg.size_dom, n)
 
 
 def nd_u64(ctx: RunContext) -> int:

@@ -7,6 +7,7 @@ Each generated program is run twice: once with a plain draw and an
 bounded draw prunes without running them."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,5 +110,8 @@ def test_bound_changing_on_a_prefix_is_mismatch(later):
         runs.append(1)
         sl.nd_bool(ctx)
 
-    with pytest.raises(ReplayMismatchError):
+    now = {} if later is None else {0: later}
+    with pytest.raises(ReplayMismatchError, match=re.escape(
+            "tape entry #1: draw bounds (position: bound) on a recorded prefix "
+            f"changed from {{0: 2}} to {now}")):
         explore(proof, ExploreConfig(size_bound=3))

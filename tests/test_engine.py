@@ -359,11 +359,14 @@ def test_replay_of_pruned_path_counts_like_explore():
     assert rep.assertion_hits == {}
 
 
-@pytest.mark.parametrize("first,later", [
-    (Domain.size_t(2), Domain.size_t(0)),
-    (Domain.bools(), Domain.u8((0, 1, 2))),
-], ids=["domain_shrinks", "bool_u8_kind_flip"])
-def test_nondeterministic_proof_is_mismatch_under_explore(first, later):
+@pytest.mark.parametrize("first,later,message", [
+    (Domain.size_t(2), Domain.size_t(0), "index 1 outside sizet domain of 1"),
+    (Domain.bools(), Domain.u8((0, 1, 2)), "is bool, proof drew u8"),
+    (Domain.custom((0, 1)), Domain.custom((0, 1, 2)),
+     "tape entry #1: proof drew a custom domain of 3 values where the previous "
+     "run on this prefix drew 2"),
+], ids=["domain_shrinks", "bool_u8_kind_flip", "domain_grows"])
+def test_nondeterministic_proof_is_mismatch_under_explore(first, later, message):
     # The second run follows the DFS successor of the first run's tape and
     # draws from a different domain at the same position.
     runs = []
@@ -372,8 +375,28 @@ def test_nondeterministic_proof_is_mismatch_under_explore(first, later):
         ctx.choice(later if runs else first)
         runs.append(1)
 
-    with pytest.raises(ReplayMismatchError):
+    with pytest.raises(ReplayMismatchError, match=message):
         explore(proof, exh())
+
+
+def test_proof_that_stops_drawing_on_its_prefix_is_mismatch():
+    # The first run draws two bools; the second follows its successor,
+    # bool:0 bool:1, but draws only the first entry of that prefix.
+    runs = []
+
+    def proof(ctx):
+        sl.nd_bool(ctx)
+        if not runs:
+            sl.nd_bool(ctx)
+        runs.append(1)
+
+    with pytest.raises(ReplayMismatchError,
+                       match="tape entry #2: the proof stopped after 1 of the 2 draws"):
+        explore(proof, exh())
+    # A replay may leave its tape unconsumed.
+    tape = ChoiceTape((TapeEntry(KIND_BOOL, 0), TapeEntry(KIND_BOOL, 1)))
+    rep = replay(proof, tape, exh())
+    assert rep.verdict.is_pass and rep.paths_explored == 1
 
 
 def test_replay_reproduces_epoch_sequence():

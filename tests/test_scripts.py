@@ -68,3 +68,30 @@ def test_report_digest_smoke(monkeypatch):
         "bb1e8e4d2bdd8799e0827fd4b1a6828d3e351ffd460c0cf09f1e2d3ec11c2251",
         "28879cc08c0582cbafcd392f3709b60f633d62bc64ec128a1b57b82919ca0f0f",
     ]
+
+
+def test_report_digests_do_not_depend_on_the_hash_seed():
+    # The lines of `test_report_digest_smoke`, printed by two interpreters
+    # whose str hashes differ: set order must not reach a report.
+    code = ("import runpy, sys\n"
+            "digests = runpy.run_path(sys.argv[1])['report_digests']\n"
+            "for label, sha in digests([2, 3, 4, 5], [0]):\n"
+            "    print(sha, label)\n")
+    procs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env.pop("CAS_SEED", None)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", code, str(ROOT / "scripts" / "report_digest.py")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    outputs = []
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            outputs.append(out)
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
