@@ -19,7 +19,6 @@ from .engine import (
     Verdict,
     explore,
     replay,
-    standalone_context,
 )
 from .heap import (
     Fault,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssertionSite", "ChoiceTape", "Domain", "ExploreConfig",
     "ReplayMismatchError", "RunContext", "RunReport", "Verdict",
-    "explore", "replay", "standalone_context",
+    "explore", "replay",
     "Fault", "FaultKind", "Heap", "MemoryFaultError",
     "Pointer", "UsageError",
     "VacuityReport", "analyze", "overall_status",

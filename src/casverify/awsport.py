@@ -10,6 +10,25 @@ table.
 Helpers with a seeded bug exist in fixed and buggy variants: each asks
 `ctx.is_buggy("<helper name>")`, so the run's buggy set selects the
 variant.
+
+Each function plays one role in a proof:
+
+* implementation under test, the code a proof exercises and a mutation
+  tool would target: `byte_buf_append_byte`, `array_list_get_at_ptr`,
+  `pq_s_swap`, `mul_u64_checked`, `add_u64_checked`, `linked_list_front`,
+  `hash_table_foreach`, `hash_callback_string_eq`, `is_mem_zeroed`;
+* specification predicates, which proofs assume or assert:
+  `byte_buf_is_valid`, `array_list_is_valid`, `pq_s_swap_postcondition`,
+  `mul_overflows`, `add_overflow_predicate`, `linked_list_save` with
+  `linked_list_is_unchanged`, `linked_list_empty`,
+  `linked_list_prev_is_valid`, `hash_table_is_valid`,
+  `aws_string_is_valid`, `c_string_is_valid`;
+* environment, the nondet inputs and stubbed callees around the code under
+  test: `init_byte_buf`, `init_array_list`, `nd_init_linked_list`,
+  `nd_init_hash_table`, `nd_init_aws_string`, `nd_init_aws_string_weak`,
+  and the `hash_iter_delete` stub.
+
+`head_node` and `tail_node` only locate a list's sentinel nodes.
 """
 
 from __future__ import annotations

@@ -69,7 +69,6 @@ KIND_BOOL = "bool"
 KIND_U8 = "u8"
 KIND_U64 = "u64"
 KIND_SIZET = "sizet"
-KIND_WILD = "wildtoken"
 KIND_CUSTOM = "custom"
 
 
@@ -104,19 +103,12 @@ class Domain:
         return Domain(KIND_U64, tuple(values))
 
     @staticmethod
-    def wild_token() -> "Domain":
-        return _WILD_TOKEN
-
-    @staticmethod
     def custom(values: Iterable) -> "Domain":
         return Domain(KIND_CUSTOM, tuple(values))
 
 
 # Domains are immutable, so the fixed ones are built and validated once.
 _BOOLS = Domain(KIND_BOOL, (False, True))
-# Single candidate: the draw marks creation of a fresh opaque token on the
-# tape without multiplying paths.
-_WILD_TOKEN = Domain(KIND_WILD, (0,))
 
 
 class TapeEntry(NamedTuple):
@@ -699,9 +691,3 @@ def _end_verdict(cfg: ExploreConfig, backend: str, explored: int, truncated: int
         return Verdict(VERDICT_PASS, message="replayed path pruned by assume"), True
     return Verdict(VERDICT_PASS), True
 
-
-def standalone_context(cfg: ExploreConfig | None = None, *,
-                       buggy: frozenset[str] = frozenset()) -> RunContext:
-    """Context for direct-style use outside an exploration (tests, scripts).
-    Draws take the first domain value, so behavior is deterministic."""
-    return RunContext(cfg or ExploreConfig(), buggy=buggy)

@@ -54,10 +54,6 @@ class Pointer(NamedTuple):
     token: str = ""
 
     @staticmethod
-    def valid(alloc_id: int, offset: int = 0) -> "Pointer":
-        return _new_ptr(Pointer, (_VALID, alloc_id, offset, ""))
-
-    @staticmethod
     def wild(token: str) -> "Pointer":
         return _new_ptr(Pointer, (_WILD, 0, 0, token))
 
@@ -446,15 +442,6 @@ class Heap:
             return self._ptr_by_handle[raw]
         return Pointer.wild(f"bits:{raw:#x}")
 
-    # -- ordering ----------------------------------------------------------
-
-    @staticmethod
-    def ptr_cmp(p: Pointer, q: Pointer) -> int:
-        """Total, run-consistent order: null < valid (by id, offset) < wild
-        (by token)."""
-        kp, kq = _cmp_key(p), _cmp_key(q)
-        return -1 if kp < kq else (0 if kp == kq else 1)
-
 
 # -- record fields ---------------------------------------------------------------
 #
@@ -487,12 +474,4 @@ def ptr_field(off: int) -> property:
         rec.heap.write_ptr(rec.ptr, value, off=off)
 
     return property(get, set_, doc=f"pointer at offset {off}")
-
-
-def _cmp_key(p: Pointer):
-    if p.kind is PtrKind.NULL:
-        return (0, 0, 0, "")
-    if p.kind is PtrKind.VALID:
-        return (1, p.alloc_id, p.offset, "")
-    return (2, 0, 0, p.token)
 

@@ -14,7 +14,7 @@ from .engine import ExploreConfig, RunReport
 from .vacuity import (STATUS_BUDGET, STATUS_FAIL, STATUS_PASS,
                       STATUS_PASS_BUT_VACUOUS, VacuityReport)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def config_dict(cfg: ExploreConfig) -> dict:

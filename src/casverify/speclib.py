@@ -1,12 +1,15 @@
 """Verification library: the primitives unit proofs are written against.
 
-Nondet constructors (`nd_*`), memory helpers (`memhavoc`,
-`can_fail_malloc`), and helpers that exist in both fixed and buggy
-variants for the seeded-bug corpus.
+`__all__` declares the library: nondet constructors (`nd_*`), the
+allocation helper `can_fail_malloc`, and `assert_bytes_match` with its
+assertion sites, which exists in fixed and buggy variants for the
+seeded-bug corpus.  The corpus uses every name in it; the README maps each
+one, with the context and heap primitives proofs also call, to its
+SeaHorn and CBMC analogue.
 
 Variant selection is run configuration, not separate code copies: a helper
 with a seeded bug asks `ctx.is_buggy("<helper name>")`, and the run's
-buggy set (`explore(..., buggy=...)`, `standalone_context(buggy=...)`)
+buggy set (`explore(..., buggy=...)`, or `RunContext(cfg, buggy=...)`)
 answers.  That keeps fixed/buggy pairs structurally aligned.
 """
 
@@ -16,6 +19,11 @@ import functools
 
 from .engine import AssertionSite, Domain, RunContext
 from .heap import NULL_PTR, U64_MAX, Pointer
+
+__all__ = [
+    "nd_size_t", "nd_size_t_below", "nd_u64", "nd_bool", "nd_voidp",
+    "can_fail_malloc", "assert_bytes_match", "bytes_match_sites",
+]
 
 # The 64-bit values `nd_u64` draws: the small values, both sides of the
 # 32-bit boundary and the maximum.  Two mid-sized factors overflow a product
@@ -42,10 +50,6 @@ def nd_u64(ctx: RunContext) -> int:
     return ctx.choice(U64_BOUNDARY)
 
 
-def nd_u8(ctx: RunContext) -> int:
-    return ctx.choice(ctx.cfg.byte_dom)
-
-
 def nd_bool(ctx: RunContext) -> bool:
     return ctx.choice(Domain.bools())
 
@@ -53,19 +57,14 @@ def nd_bool(ctx: RunContext) -> bool:
 def nd_voidp(ctx: RunContext) -> Pointer:
     """Potentially invalid pointer: one branch null, one branch a fresh wild
     pointer.  Never a pointer into an existing allocation, so touching it is
-    always a detectable fault."""
+    always a detectable fault.  One bool draw: the wild token is fresh by
+    construction, so it needs no draw of its own."""
     if ctx.choice(Domain.bools()):
-        ctx.choice(Domain.wild_token())
         return ctx.fresh_wild()
     return NULL_PTR
 
 
-# -- memory helpers -----------------------------------------------------------
-
-def memhavoc(ctx: RunContext, p: Pointer, length: int) -> None:
-    """Fill a memory region with nondeterministic bytes."""
-    ctx.heap.havoc(p, length, loc="memhavoc")
-
+# -- allocation -----------------------------------------------------------------
 
 def can_fail_malloc(ctx: RunContext, size: int) -> Pointer:
     """Allocation that (when configured) nondeterministically fails.

@@ -1,6 +1,6 @@
 import pytest
 
-from casverify.engine import ExploreConfig, standalone_context
+from casverify.engine import ExploreConfig, RunContext
 
 
 @pytest.fixture
@@ -10,4 +10,4 @@ def cfg():
 
 @pytest.fixture
 def ctx(cfg):
-    return standalone_context(cfg)
+    return RunContext(cfg)

@@ -44,7 +44,7 @@ from casverify.awsport import (
     pq_s_swap_postcondition,
     tail_node,
 )
-from casverify.engine import ExploreConfig, U64_MAX, explore, standalone_context
+from casverify.engine import ExploreConfig, RunContext, U64_MAX, explore
 from casverify.heap import NULL_PTR, FaultKind, MemoryFaultError
 
 
@@ -53,8 +53,10 @@ def exh(**kw):
 
 
 def fixed_and_buggy(helper, cfg=None):
-    """A fixed and a buggy standalone context for `helper`, in that order."""
-    return (standalone_context(cfg), standalone_context(cfg, buggy=frozenset({helper})))
+    """A fixed and a buggy context for `helper`, in that order, for direct
+    calls outside an exploration: draws take the first domain value."""
+    cfg = cfg or ExploreConfig()
+    return RunContext(cfg), RunContext(cfg, buggy=frozenset({helper}))
 
 
 def make_buf(ctx, cap, length, buffer):
@@ -77,7 +79,7 @@ _RECORDS = pytest.mark.parametrize(
 
 @_RECORDS
 def test_record_fields_lie_inside_size_and_do_not_overlap(cls):
-    ctx = standalone_context()
+    ctx = RunContext(exh())
     rec = cls(ctx, ctx.heap.alloc(cls.SIZE))  # a field past SIZE faults
     fields = {n: f for n, f in vars(cls).items() if isinstance(f, property)}
     assert fields
@@ -95,7 +97,7 @@ def test_record_fields_lie_inside_size_and_do_not_overlap(cls):
 @_RECORDS
 def test_records_keep_no_instance_dict(cls):
     # A subclass without `__slots__ = ()` would give every instance a dict.
-    ctx = standalone_context()
+    ctx = RunContext(exh())
     assert not hasattr(cls(ctx, ctx.heap.alloc(cls.SIZE)), "__dict__")
 
 
@@ -225,7 +227,7 @@ def test_pq_swap_frame_property_epoch_oracle():
     # bytes outside items a and b are unmodified, for all small shapes
     for item_sz, length in itertools.product((1, 2, 4), (1, 2, 3)):
         for a, b in itertools.product(range(length), repeat=2):
-            ctx = standalone_context()
+            ctx = RunContext(exh())
             listp, data, pattern = fill_container(ctx, item_sz, length)
             ctx.heap.tracking_on()
             pq_s_swap(ctx, listp, a, b)

@@ -132,6 +132,20 @@ def test_replay_unknown_proof_exit_2(tmp_path):
     assert run_cli("replay", "not_a_proof", str(tape)) == 2
 
 
+def test_schema_4_tape_through_nd_voidp_is_a_replay_mismatch(tmp_path, capsys):
+    # Before report schema 5, the wild branch of `nd_voidp` drew a one-value
+    # `wildtoken` entry after its bool: such a tape fails loudly.
+    tape = tmp_path / "old.tape"
+    tape.write_text("bool:0\nbool:1\nwildtoken:0\nbool:0\n")
+    assert run_cli("replay", "linked_list_front_stub", str(tape)) == 2
+    assert ("replay mismatch: tape entry #3 is wildtoken, proof drew bool"
+            in capsys.readouterr().err)
+    # The same path without that line replays.
+    tape.write_text("bool:0\nbool:1\nbool:0\n")
+    assert run_cli("replay", "linked_list_front_stub", str(tape)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: pass"
+
+
 def test_matrix_exit_zero_and_table(capsys):
     code = run_cli("matrix", "--max-bound", "2")
     assert code == 0
@@ -244,6 +258,14 @@ def test_bad_config_exit_2(flags, env, tmp_path, monkeypatch, capsys):
                     ["replay", "is_mem_zeroed", str(tape)]):
         assert run_cli(*command, *flags) == 2
         assert "bad configuration" in capsys.readouterr().err
+
+
+def test_zero_random_budget_exit_2(capsys):
+    # Only `run` and `matrix` take the search flags.
+    for command in (["run", "--proofs", "is_mem_zeroed"], ["matrix"]):
+        assert run_cli(*command, "--backend", "random", "--random-budget", "0") == 2
+        assert ("bad configuration: random_budget must be positive"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [

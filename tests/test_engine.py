@@ -11,7 +11,6 @@ from casverify.engine import (
     KIND_BOOL,
     KIND_SIZET,
     KIND_U8,
-    KIND_WILD,
     EXHAUSTIVE,
     RANDOM,
     AssertionSite,
@@ -85,7 +84,7 @@ def proof_three_choices_fail_once(ctx):
 
 
 def proof_u8_compare(ctx):
-    ctx.sassert("small", sl.nd_u8(ctx) <= 0xFF)
+    ctx.sassert("small", ctx.choice(ctx.cfg.byte_dom) <= 0xFF)
 
 
 ORACLE_PROOFS = [
@@ -653,7 +652,6 @@ def test_domain_validation():
 
 def test_cached_domains_equal_fresh_ones():
     assert Domain.bools() is Domain.bools() == Domain(KIND_BOOL, (False, True))
-    assert Domain.wild_token() is Domain.wild_token() == Domain(KIND_WILD, (0,))
     assert Domain.size_t(3) is Domain.size_t(3) == Domain(KIND_SIZET, (0, 1, 2, 3))
     cfg = exh(size_bound=3, byte_domain=(0x10, 0x20))
     assert cfg.byte_dom is cfg.byte_dom == Domain(KIND_U8, (0x10, 0x20))
@@ -665,9 +663,9 @@ def test_cached_domains_equal_fresh_ones():
 
 def test_tape_text_roundtrip():
     tape = ChoiceTape((TapeEntry("bool", 1), TapeEntry("sizet", 3),
-                       TapeEntry("u8", 0), TapeEntry("wildtoken", 0)))
+                       TapeEntry("u8", 0), TapeEntry("custom", 0)))
     text = tape.to_text()
-    assert text == "bool:1\nsizet:3\nu8:0\nwildtoken:0\n"
+    assert text == "bool:1\nsizet:3\nu8:0\ncustom:0\n"
     assert ChoiceTape.from_text(text) == tape
 
 

@@ -1,11 +1,9 @@
-import functools
 import itertools
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casverify import speclib as sl
 from casverify.awsport import Record
 from casverify.engine import ChoiceTape, ExploreConfig, explore, replay
 from casverify.heap import (
@@ -27,6 +25,10 @@ from casverify.heap import (
     ptr_field,
     u64_field,
 )
+
+
+def valid_ptr(alloc_id: int, offset: int = 0) -> Pointer:
+    return Pointer(PtrKind.VALID, alloc_id, offset)
 
 
 def fault_of(excinfo) -> FaultKind:
@@ -646,7 +648,7 @@ _OPS = sorted(_fused_ops(None, NULL_PTR, None))
 _STORE_OPS = ["typed_write_u64", "write_ptr", "write_u64"]
 _ARGS = {
     "u64": st.integers(0, 2**65),
-    "ptr": st.sampled_from([NULL_PTR, Pointer.valid(1, 3), Pointer.valid(4, 0),
+    "ptr": st.sampled_from([NULL_PTR, valid_ptr(1, 3), valid_ptr(4, 0),
                             Pointer.wild("w")]),
     "off": st.integers(-3, 10),
     "read_off": st.tuples(st.integers(-1, 10), st.integers(-3, 10)),
@@ -713,7 +715,7 @@ def test_fused_accessors_match_per_byte_reference(data):
         if live_at is not None:
             for p in allocs:
                 ref_write_ptr(h, p.add(live_at), allocs[0].add(live_at))
-        return h, {"valid": allocs[0], "freed": allocs[1], "unknown": Pointer.valid(99, 0),
+        return h, {"valid": allocs[0], "freed": allocs[1], "unknown": valid_ptr(99, 0),
                    "null": NULL_PTR, "wild": Pointer.wild("t")}, draws
 
     sweep = [(t, o) for t in ("valid", "freed") for o in sorted(offsets)]
@@ -742,7 +744,7 @@ def havocked_slot_proof(ctx):
     """A havocked slot never aliases a live pointer."""
     table, _ = live_slot(ctx.heap)
     slot = table.add(8)
-    sl.memhavoc(ctx, slot, 8)
+    ctx.heap.havoc(slot, 8)
     q = ctx.heap.read_ptr(slot)
     ctx.sassert("no_alias", q.is_null or q.is_wild)
 
@@ -759,9 +761,9 @@ def test_havocked_slot_never_aliases_a_live_pointer():
 # -- Pointer values -----------------------------------------------------------------
 
 def test_pointer_value_semantics():
-    p, q = Pointer.valid(3, 2), Pointer.valid(3, 1).add(1)
+    p, q = valid_ptr(3, 2), valid_ptr(3, 1).add(1)
     assert p == q and hash(p) == hash(q) and p is not q
-    assert p != Pointer.valid(3, 1) and p != Pointer.valid(4, 2)
+    assert p != valid_ptr(3, 1) and p != valid_ptr(4, 2)
     assert Pointer.wild("t") == Pointer.wild("t") != Pointer.wild("u")
     assert NULL_PTR == Pointer(PtrKind.NULL) == NULL_PTR.add(0)
     assert {p: "p"}[q] == "p"
@@ -779,53 +781,18 @@ def test_equal_pointers_share_one_handle():
 
 @pytest.mark.parametrize("field", ["kind", "alloc_id", "offset", "token"])
 def test_pointer_is_immutable(field):
-    p = Pointer.valid(1, 2)
+    p = valid_ptr(1, 2)
     with pytest.raises(AttributeError):
         setattr(p, field, 0)
-    assert p == Pointer.valid(1, 2)
+    assert p == valid_ptr(1, 2)
 
 
 def test_pointer_repr():
     assert repr(NULL_PTR) == "null"
-    assert repr(Pointer.valid(2, 5)) == "&a2+5"
-    assert repr(Pointer.valid(2).add(-1)) == "&a2+-1"
+    assert repr(valid_ptr(2, 5)) == "&a2+5"
+    assert repr(valid_ptr(2).add(-1)) == "&a2+-1"
     assert repr(Pointer.wild("nd:1")) == "wild(nd:1)"
     assert repr(NULL_PTR.add(3)) == "wild(null+3)"
-
-
-# -- ptr_cmp ----------------------------------------------------------------------
-
-def test_ptr_cmp_sorts_null_valid_wild():
-    order = [NULL_PTR, Pointer.valid(1, -1), Pointer.valid(1, 0), Pointer.valid(1, 7),
-             Pointer.valid(2, 0), Pointer.wild("a"), Pointer.wild("b")]
-    shuffled = order[3:] + order[:3]
-    assert sorted(shuffled, key=functools.cmp_to_key(Heap.ptr_cmp)) == order
-
-
-def test_ptr_cmp_reflexive_and_ordered():
-    h = Heap()
-    p = h.alloc(4)
-    assert Heap.ptr_cmp(p, p) == 0
-    assert Heap.ptr_cmp(NULL_PTR, p) == -1
-    assert Heap.ptr_cmp(p, Pointer.wild("t")) == -1
-    assert Heap.ptr_cmp(p, p.add(1)) == -1
-
-
-_pointers = st.one_of(
-    st.just(NULL_PTR),
-    st.builds(Pointer.valid, st.integers(1, 3), st.integers(-2, 4)),
-    st.builds(Pointer.wild, st.sampled_from(["a", "b", "c"])),
-)
-
-
-@settings(max_examples=100)
-@given(_pointers, _pointers, _pointers)
-def test_ptr_cmp_total_order(p, q, r):
-    cmp = Heap.ptr_cmp
-    assert cmp(p, q) == -cmp(q, p)
-    if cmp(p, q) <= 0 and cmp(q, r) <= 0:
-        assert cmp(p, r) <= 0
-    assert (cmp(p, q) == 0) == (p == q)
 
 
 # -- the recorded fault -------------------------------------------------------------

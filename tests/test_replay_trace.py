@@ -80,7 +80,7 @@ def test_mul_checked_unrestricted_buggy_trace_ends_with_failed_assert():
 
 def _proof_havoc_bounded_raise(ctx):
     p = ctx.heap.alloc(1)
-    sl.memhavoc(ctx, p, 1)
+    ctx.heap.havoc(p, 1)
     byte = ctx.heap.read(p, 1)[0]  # the heap draws the havocked byte
     n = sl.nd_size_t_below(ctx, 2)
     raise ValueError(f"byte {byte}, size {n}")

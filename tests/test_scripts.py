@@ -23,7 +23,6 @@ def _run_script(script, args):
 
 @pytest.mark.parametrize("script,args", [
     ("random_seed_sweep.py", ["--seeds", "1", "--random-budget", "200"]),
-    ("run_detection_matrix.py", ["--max-bound", "2", "--random-budget", "200"]),
 ])
 def test_script_runs(script, args):
     proc = _run_script(script, args)
@@ -35,8 +34,6 @@ def test_script_runs(script, args):
     ("random_seed_sweep.py", ["--seeds", "0"], "--seeds must be positive"),
     ("random_seed_sweep.py", ["--seeds", "-2"], "--seeds must be positive"),
     ("random_seed_sweep.py", ["--random-budget", "0"], "random_budget must be positive"),
-    ("run_detection_matrix.py", ["--random-budget", "0"],
-     "random_budget must be positive"),
 ])
 def test_script_bad_input_exit_2(script, args, message):
     # Rejected before any proof runs: a usage message, not a traceback.
@@ -62,11 +59,11 @@ def test_report_digest_smoke(monkeypatch):
     # The normalized reports must not change.  Regenerate these values with
     # `scripts/report_digest.py` only when behaviour is meant to change.
     assert [sha for _, sha in lines] == [
-        "b0d1e91a6ddd373a1df38e3a6081055169de34b7bc3d54b4cb3b75f5276700a4",
-        "9e39e54c4b77c9262cd9a1349ad01a2917f9a8b59ba84c39fb00d3d803b64193",
-        "0f520359cf9d1c3acc064fc4d9198bd9c435c6c0460a8701140ef342aa92293a",
-        "bb1e8e4d2bdd8799e0827fd4b1a6828d3e351ffd460c0cf09f1e2d3ec11c2251",
-        "28879cc08c0582cbafcd392f3709b60f633d62bc64ec128a1b57b82919ca0f0f",
+        "f83ccf639a43a60761671353ccc6d4ce83bdadd688f038e51c0ec0672fb51a3f",
+        "832bcf6bdecfe809850071ca39cd7eb61624418aef730468c533b9dd34741a31",
+        "a1d16b2675f433d92b5c05d901dfd14713e6785cd2cd823dd736ac5b11281b45",
+        "76d0eea2d17193379116b41487aad9f2b2f98b349511587dc2e75e3b6f4c004b",
+        "27845f84046416487c5fbd1548fd29bb4808726c4e8b8528e920b91114987f98",
     ]
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from casverify import speclib as sl
-from casverify.engine import ExploreConfig, explore
+from casverify.engine import KIND_BOOL, ExploreConfig, explore
 from casverify.heap import FaultKind
 
 
@@ -48,13 +48,24 @@ def test_nd_voidp_two_shapes():
 
 
 def test_nd_voidp_wild_tokens_fresh():
+    tapes = []  # the run's tape after each of its two calls
+
     def proof(ctx):
         a = sl.nd_voidp(ctx)
+        after_a = list(ctx.taken)
         b = sl.nd_voidp(ctx)
+        tapes.append((after_a, list(ctx.taken)))
         if a.is_wild and b.is_wild:
             ctx.sassert("distinct", a != b)
 
-    assert explore(proof, exh()).verdict.is_pass
+    report = explore(proof, exh())
+    assert report.verdict.is_pass
+    assert report.assertion_hits == {"distinct": 1}
+    # Each call draws one bool and nothing else.
+    assert report.paths_explored == len(tapes) == 4
+    for after_a, after_b in tapes:
+        assert [e.kind for e in after_a] == [KIND_BOOL]
+        assert after_b[0] == after_a[0] and [e.kind for e in after_b] == [KIND_BOOL] * 2
 
 
 def test_nd_u64_uses_configured_values():
@@ -68,11 +79,11 @@ def test_nd_u64_uses_configured_values():
     assert sl.U64_BOUNDARY.values == (0, 1, 2, 2**32 - 1, 2**33, 2**64 - 1)
 
 
-# -- memhavoc ----------------------------------------------------------------------
+# -- heap.havoc, the library's memhavoc (SeaHorn's name) ---------------------------
 
 def test_memhavoc_null_zero_noop():
     def proof(ctx):
-        sl.memhavoc(ctx, ctx.heap.alloc(0), 0)
+        ctx.heap.havoc(ctx.heap.alloc(0), 0)
 
     assert explore(proof, exh()).verdict.is_pass
 
@@ -80,7 +91,7 @@ def test_memhavoc_null_zero_noop():
 def test_memhavoc_branching_matches_byte_domain():
     def proof(ctx):
         p = ctx.heap.alloc(1)
-        sl.memhavoc(ctx, p, 1)
+        ctx.heap.havoc(p, 1)
         ctx.sassert("read", ctx.heap.read(p, 1) is not None)
 
     report = explore(proof, exh(byte_domain=(0, 1, 255)))
@@ -90,7 +101,7 @@ def test_memhavoc_branching_matches_byte_domain():
 def test_memhavoc_out_of_bounds():
     def proof(ctx):
         p = ctx.heap.alloc(2)
-        sl.memhavoc(ctx, p, 4)
+        ctx.heap.havoc(p, 4)
 
     report = explore(proof, exh())
     assert report.verdict.fault.kind is FaultKind.OUT_OF_BOUNDS
@@ -220,7 +231,7 @@ def test_bytes_match_reflexive_property():
         n = sl.nd_size_t(ctx)
         p = ctx.heap.alloc(max(n, 1))
         if n:
-            sl.memhavoc(ctx, p, n)
+            ctx.heap.havoc(p, n)
         sl.assert_bytes_match(ctx, p, p, n)
 
     assert explore(proof, exh(size_bound=3)).verdict.is_pass
