@@ -321,7 +321,7 @@ class RunContext:
     """
 
     __slots__ = ("cfg", "_buggy", "_prefix", "_followed", "_stop", "_max_choices",
-                 "_extend", "taken", "sizes", "hits", "bounds", "_wild_count",
+                 "_extend", "taken", "sizes", "hits", "_wild_count",
                  "mismatch", "heap")
 
     def __init__(self, cfg: ExploreConfig, *, buggy: frozenset[str] = frozenset(),
@@ -340,11 +340,10 @@ class RunContext:
         self._extend = extend
         self.mismatch: ReplayMismatchError | None = None
         self.taken: list[TapeEntry] = []
-        self.sizes: list[int] = []
+        # Per position: the drawn domain's size, or (size, bound) for a
+        # `choice_below` draw.
+        self.sizes: list[int | tuple[int, int]] = []
         self.hits: dict[str, int] = {}
-        # Position -> bound of each `choice_below` draw, created by the
-        # first such draw, so other runs never build one.
-        self.bounds: dict[int, int] | None = None
         self._wild_count = 0
         # Havocked bytes are drawn from the configured byte domain.
         self.heap = Heap(functools.partial(self.choice, cfg.byte_dom),
@@ -387,11 +386,9 @@ class RunContext:
         tape position, so the exhaustive backend counts the siblings at or
         above it as pruned without running them."""
         value = self.choice(domain)
-        pos = len(self.taken) - 1
-        if self.bounds is None:
-            self.bounds = {}
-        self.bounds[pos] = bound
-        self.assume(self.taken[pos].index < bound)
+        sizes = self.sizes
+        sizes[-1] = (sizes[-1], bound)
+        self.assume(self.taken[-1].index < bound)
         return value
 
     def fresh_wild(self) -> Pointer:
@@ -503,19 +500,21 @@ def replay(proof: Callable, tape: ChoiceTape, cfg: ExploreConfig, *, name: str =
     return report
 
 
-def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
-                   bounds: dict[int, int] | None
+def _dfs_successor(taken: list[TapeEntry], sizes: list[int | tuple[int, int]]
                    ) -> tuple[list[TapeEntry] | None, int]:
     """The prefix of the next tape to run in lexicographic DFS order, or
     None when the tape tree is exhausted, and the number of leaves between
     the two that a bounded draw prunes: every index at or above the bound
-    `bounds` records for a position.  Each such leaf ends at that draw, no
+    `sizes` records for a position.  Each such leaf ends at that draw, no
     deeper than `taken`."""
     skipped = 0
     i = len(taken) - 1
     while i >= 0:
-        n, nxt = sizes[i], taken[i].index + 1
-        if nxt < n and (bounds is None or nxt < bounds.get(i, n)):
+        n = bound = sizes[i]
+        if type(n) is tuple:
+            n, bound = n
+        nxt = taken[i].index + 1
+        if nxt < n and nxt < bound:
             break
         skipped += n - nxt
         i -= 1
@@ -526,23 +525,12 @@ def _dfs_successor(taken: list[TapeEntry], sizes: list[int],
     return successor, skipped
 
 
-def _bounds_on_prefix(bounds: dict[int, int] | None, n: int) -> dict[int, int]:
-    return {pos: b for pos, b in (bounds or {}).items() if pos < n}
+def _domain_size(record: int | tuple[int, int]) -> int:
+    return record[0] if type(record) is tuple else record
 
 
-def _bounds_agree(n: int, was: dict[int, int] | None, now: dict[int, int] | None) -> bool:
-    """Whether two runs' bounds agree at every position below `n`."""
-    for a, b in ((was, now), (now, was)):
-        if a:
-            for pos, bound in a.items():
-                if pos < n and (b is None or b.get(pos) != bound):
-                    return False
-    return True
-
-
-def _prefix_shape_error(prefix: Sequence[TapeEntry], sizes: list[int],
-                        bounds: dict[int, int] | None, ctx: RunContext
-                        ) -> ReplayMismatchError:
+def _prefix_shape_error(prefix: Sequence[TapeEntry], sizes: list[int | tuple[int, int]],
+                        ctx: RunContext) -> ReplayMismatchError:
     """Word how a run left the shape the previous run recorded on `prefix`:
     the first position it did not draw, drew from a domain of another size,
     or drew under another bound."""
@@ -553,11 +541,13 @@ def _prefix_shape_error(prefix: Sequence[TapeEntry], sizes: list[int],
             return ReplayMismatchError(
                 f"tape entry #{pos + 1}: the proof stopped after {pos} of the {n} "
                 f"draws on a recorded prefix")
-        if drawn[pos] != sizes[pos]:
+        now, was = _domain_size(drawn[pos]), _domain_size(sizes[pos])
+        if now != was:
             return ReplayMismatchError(
                 f"tape entry #{pos + 1}: proof drew a {prefix[pos].kind} domain of "
-                f"{drawn[pos]} values where the previous run on this prefix drew {sizes[pos]}")
-    was, now = _bounds_on_prefix(bounds, n), _bounds_on_prefix(ctx.bounds, n)
+                f"{now} values where the previous run on this prefix drew {was}")
+    was, now = ({pos: s[1] for pos, s in enumerate(record[:n]) if type(s) is tuple}
+                for record in (sizes, drawn))
     pos = min(p for p in was.keys() | now.keys() if was.get(p) != now.get(p))
     return ReplayMismatchError(
         f"tape entry #{pos + 1}: draw bounds (position: bound) on a recorded prefix "
@@ -592,8 +582,7 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
     failure = None
     exhausted = False
     exhaustive = backend == EXHAUSTIVE
-    sizes: list[int] = []  # recorded by the previous run, like `bounds`
-    bounds = None
+    sizes: list[int | tuple[int, int]] = []  # recorded by the previous run
     while explored + pruned + truncated < max_runs:
         ctx = new_context(cfg, buggy=buggy, prefix=prefix, extend=extend)
         ended = escaped = None
@@ -635,9 +624,8 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
             # The run's shape on its prefix: what the previous run drew there.
             # Kind and index range were checked at each draw.
             followed = len(prefix)
-            if ctx.sizes[:followed] != sizes[:followed] or (
-                    ctx.bounds != bounds and not _bounds_agree(followed, bounds, ctx.bounds)):
-                raise _prefix_shape_error(prefix, sizes, bounds, ctx)
+            if ctx.sizes[:followed] != sizes[:followed]:
+                raise _prefix_shape_error(prefix, sizes, ctx)
         if len(taken) > depth:
             depth = len(taken)
         if ctx.hits:
@@ -646,8 +634,8 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
         if failure is not None:
             break
         if exhaustive:
-            sizes, bounds = ctx.sizes, ctx.bounds
-            prefix, skipped = _dfs_successor(taken, sizes, bounds)
+            sizes = ctx.sizes
+            prefix, skipped = _dfs_successor(taken, sizes)
             if skipped:
                 room = max_runs - (explored + pruned + truncated)
                 if skipped > room:

@@ -18,11 +18,13 @@ read, so path counts stay proportional to the bytes a proof inspects.
 Every accessor, byte or 8-byte, takes an `off` and works at `p + off`, so a
 caller indexing from a base pointer passes the index instead of building
 the member pointer; only a slow or fault path builds `p.add(off)`, so
-faults read as they would through the member pointer.
+faults read as they would through the member pointer.  An 8-byte word is
+encoded and decoded in place by one `struct` call.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
@@ -133,6 +135,11 @@ TAG_NONE, TAG_U8, TAG_U64, TAG_PTR = 0, 1, 2, 3
 _FILL8 = tuple(bytes((v,)) * 8 for v in range(4))
 # `_BYTE[v]` is the 1-byte string of value `v`.
 _BYTE = tuple(bytes((v,)) for v in range(256))
+# An 8-byte little-endian word, decoded from and encoded into a bytearray at
+# an offset.  Both count a negative offset from the end of the buffer, so
+# every caller tests `0 <= lo` first.
+_WORD = struct.Struct("<Q")
+_unpack_word, _pack_word = _WORD.unpack_from, _WORD.pack_into
 
 
 class Allocation:
@@ -157,6 +164,11 @@ class Heap:
     `typed_access_check` makes `typed_read_u64` fault on bytes last written
     with a narrower type; `zero_alloc_returns_null` makes `alloc(0)` return
     null instead of a distinct 0-byte block."""
+
+    # A run builds one heap; `__weakref__` lets tests watch it being freed.
+    __slots__ = ("byte_source", "typed_access_check", "zero_alloc_returns_null",
+                 "allocations", "global_epoch", "tracking_epoch", "fault", "_next_id",
+                 "_ptr_by_handle", "_handle_by_ptr", "_next_handle", "__weakref__")
 
     def __init__(self, byte_source: Callable[[], int] | None = None, *,
                  typed_access_check: bool = True, zero_alloc_returns_null: bool = True):
@@ -300,7 +312,12 @@ class Heap:
 
     # The generic `write` and `havoc` keep their per-byte loops: slice
     # stores make wide-write workloads run more passes per benchmark window,
-    # and the benchmark's peak RSS grows with the pass count.
+    # and the benchmark's peak RSS grows with the pass count.  Deriving the
+    # effective-type tag from the write epoch, instead of storing it, hits
+    # the same wall: it cut `generated_writes` wall time by 16%, and its peak
+    # RSS rose from 38.3 to 42.6 MB and from 39.3 to 45.0 MB (16 and 19
+    # passes against 12 and 13).  Both wait for ROADMAP item 1, which stops
+    # the benchmark's RSS from following the pass count.
 
     def write(self, p: Pointer, data: Iterable[int] | bytes, loc: str = "write",
               off: int = 0):
@@ -324,8 +341,9 @@ class Heap:
             a.epochs[i] = self.global_epoch
             a.tags[i] = tag
 
-    def _store8(self, p: Pointer, buf: bytes, tag: int, loc: str, off: int = 0):
-        """`_store` of exactly 8 bytes at `p + off`, as slice assignments."""
+    def _store_word(self, p: Pointer, value: int, tag: int, loc: str, off: int = 0):
+        """`_store` of `value` modulo 2**64 as 8 little-endian bytes at
+        `p + off`: one struct call and three slice assignments."""
         kind, alloc_id, lo, _ = p
         lo += off
         a = self.allocations.get(alloc_id) if kind is _VALID else None
@@ -333,7 +351,7 @@ class Heap:
         if a is None or a.freed or lo < 0 or hi > a.size:
             a = self._checked_alloc(p.add(off), 8, loc)
         self.global_epoch = epoch = self.global_epoch + 1
-        a.data[lo:hi] = buf
+        _pack_word(a.data, lo, value & U64_MAX)
         a.state[lo:hi] = _FILL8[_INIT]
         a.epochs[lo:hi] = (epoch,) * 8
         a.tags[lo:hi] = _FILL8[tag]
@@ -379,10 +397,10 @@ class Heap:
                     self._raise_fault(
                         FaultKind.TYPED_ACCESS_VIOLATION, loc,
                         f"8-byte typed read of byte {i} last written with a narrower type")
-        return int.from_bytes(self.read(p, 8, loc), "little")
+        return _unpack_word(self.read(p, 8, loc))[0]
 
     def typed_write_u64(self, p: Pointer, value: int, loc: str = "typed_write_u64"):
-        self._store8(p, (value & U64_MAX).to_bytes(8, "little"), TAG_U64, loc)
+        self._store_word(p, value, TAG_U64, loc)
 
     # -- scalar / pointer field helpers ------------------------------------
     #
@@ -397,11 +415,11 @@ class Heap:
         a = self.allocations.get(alloc_id) if kind is _VALID else None
         if (a is not None and not a.freed
                 and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
-            return int.from_bytes(a.data[lo:lo + 8], "little")
-        return int.from_bytes(self.read(p.add(off), 8, loc), "little")
+            return _unpack_word(a.data, lo)[0]
+        return _unpack_word(self.read(p.add(off), 8, loc))[0]
 
     def write_u64(self, p: Pointer, value: int, loc: str = "write_u64", off: int = 0):
-        self._store8(p, (value & U64_MAX).to_bytes(8, "little"), TAG_U8, loc, off)
+        self._store_word(p, value, TAG_U8, loc, off)
 
     def write_ptr(self, p: Pointer, value: Pointer, loc: str = "write_ptr", off: int = 0):
         """Store a pointer value as 8 little-endian bytes of an interned
@@ -415,7 +433,7 @@ class Heap:
                 self._next_handle += 1
                 self._handle_by_ptr[value] = handle
                 self._ptr_by_handle[handle] = value
-        self._store8(p, handle.to_bytes(8, "little"), TAG_PTR, loc, off)
+        self._store_word(p, handle, TAG_PTR, loc, off)
 
     def read_ptr(self, p: Pointer, loc: str = "read_ptr", off: int = 0) -> Pointer:
         """Decode 8 bytes as a pointer.
@@ -431,9 +449,9 @@ class Heap:
         a = self.allocations.get(alloc_id) if kind is _VALID else None
         if (a is not None and not a.freed
                 and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
-            raw = int.from_bytes(a.data[lo:lo + 8], "little")
+            raw = _unpack_word(a.data, lo)[0]
         else:
-            raw = int.from_bytes(self.read(p.add(off), 8, loc), "little")
+            raw = _unpack_word(self.read(p.add(off), 8, loc))[0]
             a = self.allocations[alloc_id]
         if raw == 0:
             return NULL_PTR
@@ -447,8 +465,10 @@ class Heap:
 #
 # A record is a view with a `heap` and a base pointer `ptr` (see
 # `awsport.Record`); its members are properties built by `u64_field` and
-# `ptr_field`, which pass the member's offset to `read_u64`, `read_ptr`,
-# `write_u64` and `write_ptr`.
+# `ptr_field`.  A getter decodes a live word itself, as `read_u64` and
+# `read_ptr` do, and hands anything else to them; a setter passes the
+# member's offset to `write_u64` or `write_ptr`.  Either way a field access
+# costs one Python frame less than a call through the heap.
 
 
 def u64_field(off: int) -> property:
@@ -456,10 +476,17 @@ def u64_field(off: int) -> property:
     so decrementing a zero counter yields U64_MAX."""
 
     def get(rec):
-        return rec.heap.read_u64(rec.ptr, off=off)
+        heap, p = rec.heap, rec.ptr
+        kind, alloc_id, lo, _ = p
+        lo += off
+        a = heap.allocations.get(alloc_id) if kind is _VALID else None
+        if (a is not None and not a.freed
+                and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
+            return _unpack_word(a.data, lo)[0]
+        return heap.read_u64(p, "read_u64", off)
 
     def set_(rec, value):
-        rec.heap.write_u64(rec.ptr, value, off=off)
+        rec.heap.write_u64(rec.ptr, value, "write_u64", off)
 
     return property(get, set_, doc=f"u64 at offset {off}")
 
@@ -468,10 +495,21 @@ def ptr_field(off: int) -> property:
     """Pointer member at `off`, stored in the heap's pointer encoding."""
 
     def get(rec):
-        return rec.heap.read_ptr(rec.ptr, off=off)
+        heap, p = rec.heap, rec.ptr
+        kind, alloc_id, lo, _ = p
+        lo += off
+        a = heap.allocations.get(alloc_id) if kind is _VALID else None
+        if (a is not None and not a.freed
+                and 0 <= lo and lo + 8 <= a.size and a.state.count(_INIT, lo, lo + 8) == 8):
+            raw = _unpack_word(a.data, lo)[0]
+            if raw == 0:
+                return NULL_PTR
+            if (a.tags.count(TAG_PTR, lo, lo + 8) == 8
+                    and a.epochs[lo:lo + 8].count(a.epochs[lo]) == 8):
+                return heap._ptr_by_handle[raw]
+        return heap.read_ptr(p, "read_ptr", off)
 
     def set_(rec, value):
-        rec.heap.write_ptr(rec.ptr, value, off=off)
+        rec.heap.write_ptr(rec.ptr, value, "write_ptr", off)
 
     return property(get, set_, doc=f"pointer at offset {off}")
-

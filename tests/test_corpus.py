@@ -123,6 +123,39 @@ def test_every_counterexample_tape_replays_to_same_fail():
             assert (lhs.kind if lhs else None) == (rhs.kind if rhs else None)
 
 
+def _failure(report):
+    return report.verdict.failed_site, report.verdict.fault, report.verdict.message
+
+
+def test_verdicts_agree_across_bounds():
+    """The proof at the next bound is a second oracle.  `nd_size_t` draws
+    `range(bound + 1)` and no other domain depends on the bound, so a tape
+    at bound b is a tape at b + 1 with the same values.  For every
+    registered case and each b in 0-2: (a) a failure at b is a failure at
+    b + 1; (b) the bound-b counterexample replays at b + 1 to the same
+    failure; (c) the bound-(b + 1) counterexample is lexicographically no
+    greater than the bound-b one; (d) a complete pass at b + 1 explores no
+    fewer paths than at b."""
+    checked = 0
+    for entry in register_corpus():
+        for case in entry.cases:
+            reports = [run_case(entry, case, base_cfg(size_bound=b)).report for b in range(4)]
+            for b, (lo, hi) in enumerate(zip(reports, reports[1:])):
+                where = (entry.name, case.label, b)
+                if lo.verdict.is_fail:
+                    assert hi.verdict.is_fail, where
+                    rerun = replay(entry.body, lo.verdict.tape,
+                                   entry.config_for(base_cfg(size_bound=b + 1), case),
+                                   name=entry.name, sites=entry.sites, buggy=case.buggy)
+                    assert _failure(rerun) == _failure(lo), where
+                    assert [e.index for e in hi.verdict.tape] <= \
+                        [e.index for e in lo.verdict.tape], where
+                if hi.verdict.is_pass and hi.complete:
+                    assert hi.paths_explored >= lo.paths_explored, where
+                checked += 1
+    assert checked == 21 * 3
+
+
 def test_matrix_shape_and_channels():
     matrix = run_matrix(base_cfg())
     assert len(matrix.rows) == 7

@@ -647,7 +647,8 @@ _ARG_KIND = {"write_u64": "u64", "typed_write_u64": "u64",
 _OPS = sorted(_fused_ops(None, NULL_PTR, None))
 _STORE_OPS = ["typed_write_u64", "write_ptr", "write_u64"]
 _ARGS = {
-    "u64": st.integers(0, 2**65),
+    # Stores wrap values modulo 2**64, negative ones and those past U64_MAX.
+    "u64": st.integers(-2**65, 2**65) | st.sampled_from([-1, U64_MAX + 1]),
     "ptr": st.sampled_from([NULL_PTR, valid_ptr(1, 3), valid_ptr(4, 0),
                             Pointer.wild("w")]),
     "off": st.integers(-3, 10),
@@ -673,8 +674,9 @@ def test_fused_accessors_match_per_byte_reference(data):
     methods and record fields, one through the per-byte reference.  Up to
     three random 8-byte stores come first.  Then every access, with reads
     of several lengths and byte accesses at an `off`, is tried on freshly
-    built heaps: through a valid and a freed allocation at the edge offsets
-    and two random ones, and through an unknown, a null and a wild pointer.
+    built heaps: through a valid and a freed allocation at the edge offsets,
+    at the offsets that put a record member at byte -1 and at two random
+    ones, and through an unknown, a null and a wild pointer.
     Last, `is_deref` and `is_init` answer as the reference does through
     the same pointers, at lengths -1, 0 and those ending at or next to the
     allocation's end."""
@@ -700,8 +702,10 @@ def test_fused_accessors_match_per_byte_reference(data):
     calls = [(op, data.draw(_ARGS[_ARG_KIND[op]], label=op) if op in _ARG_KIND else None)
              for op in _OPS if op != "readn"]
     calls += [("readn", n) for n in (-1, 0, 2, 8, data.draw(st.integers(3, 10)))]
+    # The last two put each record member one byte below the allocation.
     offsets = {-1, 0, size - 8, size - 7, size - 1, size, live_at or 0,
-               data.draw(st.integers(-3, size + 2)), data.draw(st.integers(-3, size + 2))}
+               data.draw(st.integers(-3, size + 2)), data.draw(st.integers(-3, size + 2)),
+               -_U64_MEMBER_OFF - 1, -_PTR_MEMBER_OFF - 1}
 
     def build():
         draws = []
