@@ -6,7 +6,7 @@ import argparse
 import sys
 from collections import defaultdict
 
-from casverify.corpus import CELL_DETECTED, run_matrix
+from casverify.corpus import run_matrix
 from casverify.engine import RANDOM, ExploreConfig
 
 
@@ -28,17 +28,18 @@ def main() -> int:
     detected = defaultdict(int)
     runs_needed = defaultdict(list)
     for cfg in cfgs:
-        matrix = run_matrix(cfg)
-        for row, result in zip(matrix.rows, matrix.results):
-            if row.counterexample == CELL_DETECTED:
-                detected[row.bug_id] += 1
-                report = result.report
-                runs_needed[row.bug_id].append(
+        results = run_matrix(cfg)
+        for result in results:
+            report = result.report
+            if report.verdict.is_fail:
+                bug = result.entry.bug_id
+                detected[bug] += 1
+                runs_needed[bug].append(
                     report.paths_explored + report.paths_pruned_by_assume
                     + report.paths_truncated + 1)
 
     print(f"{'bug':8s} {'detected':>9s} {'avg runs to find':>17s}")
-    for bug in sorted(set(detected) | set(r.bug_id for r in matrix.rows)):
+    for bug in sorted(set(detected) | set(r.entry.bug_id for r in results)):
         hits = detected.get(bug, 0)
         avg = (sum(runs_needed[bug]) / len(runs_needed[bug])
                if runs_needed[bug] else float("nan"))

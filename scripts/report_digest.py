@@ -3,10 +3,11 @@
 
     python3 scripts/report_digest.py
 
-The reports are `verify run --check-expected` at bounds 2-5 and the random
-detection matrix (budget 10k, bound 3) at seeds 0-19.  "Normalized" means
-canonical JSON with every `wall_time` removed (`perfbench.gate`), so equal
-digests on two commits mean equal verdicts, tapes, counts and hits.
+The reports are `verify run --check-expected` and the exhaustive detection
+matrix at bounds 2-5, and the random detection matrix (budget 10k, bound 3)
+at seeds 0-19.  "Normalized" means canonical JSON with every `wall_time`
+removed (`perfbench.gate`), so equal digests on two commits mean equal
+verdicts, tapes, counts, hits and matrix rows.
 """
 
 import contextlib
@@ -34,13 +35,17 @@ def _report_digest(argv: list[str]) -> str:
 
 
 def report_digests(bounds, seeds) -> list[tuple[str, str]]:
-    """(label, digest) for each check-expected bound, then each matrix seed.
-    CAS_SEED, when set, overrides every seed."""
+    """(label, digest) for each check-expected bound, each exhaustive
+    matrix bound, then each random matrix seed.  CAS_SEED, when set,
+    overrides every seed."""
     lines = []
     for bound in bounds:
         lines.append((f"run --check-expected --max-bound {bound}", _report_digest(
             ["run", "--check-expected", "--max-bound", str(bound),
              "--report", "json"])))
+    for bound in bounds:
+        lines.append((f"matrix --max-bound {bound}", _report_digest(
+            ["matrix", "--max-bound", str(bound), "--report", "json"])))
     for seed in seeds:
         lines.append((f"matrix --backend {RANDOM} --seed {seed}", _report_digest(
             ["matrix", "--backend", RANDOM, "--random-budget", "10000",

@@ -15,11 +15,12 @@ Each function plays one role in a proof:
 
 * implementation under test, the code a proof exercises and a mutation
   tool would target: `byte_buf_append_byte`, `array_list_get_at_ptr`,
-  `pq_s_swap`, `mul_u64_checked`, `add_u64_checked`, `linked_list_front`,
+  `pq_s_swap`, `mul_u64_checked`, `linked_list_front`,
   `hash_table_foreach`, `hash_callback_string_eq`, `is_mem_zeroed`;
 * specification predicates, which proofs assume or assert:
   `byte_buf_is_valid`, `array_list_is_valid`, `pq_s_swap_postcondition`,
-  `mul_overflows`, `add_overflow_predicate`, `linked_list_save` with
+  `mul_overflows`, `add_u64_checked` (whose failure is the addition-overflow
+  predicate the seeded multiply bug asserts), `linked_list_save` with
   `linked_list_is_unchanged`, `linked_list_empty`,
   `linked_list_prev_is_valid`, `hash_table_is_valid`,
   `aws_string_is_valid`, `c_string_is_valid`;
@@ -225,12 +226,6 @@ def add_u64_checked(a: int, b: int) -> tuple[bool, int | None]:
 def mul_overflows(a: int, b: int) -> bool:
     """Exact multiplication-overflow predicate (the corrected postcondition)."""
     return b != 0 and a > U64_MAX // b
-
-
-def add_overflow_predicate(a: int, b: int) -> bool:
-    """Addition-overflow predicate; asserting this after a failed multiply
-    is the seeded postcondition bug."""
-    return b > 0 and a > U64_MAX - b
 
 
 # =========================================================================

@@ -236,8 +236,7 @@ def _cmd_matrix(args, cfg: ExploreConfig) -> int:
         _check_writable(args)
     except OSError as e:
         return _cannot_write(e)
-    matrix = run_matrix(cfg, entries)
-    doc = report_mod.build_document("matrix", cfg, matrix.results, matrix=matrix)
+    doc = report_mod.build_document("matrix", cfg, run_matrix(cfg, entries))
     if args.report == "json":
         text = report_mod.to_json(doc)
     else:
@@ -249,7 +248,7 @@ def _cmd_matrix(args, cfg: ExploreConfig) -> int:
     if args.output:
         # keep the table visible even when the document went to a file
         print("\n".join(report_mod.matrix_markdown_lines(doc["matrix"])))
-    return 0 if (matrix.all_match or args.advisory) else 1
+    return 0 if (doc["matrix"]["all_match"] or args.advisory) else 1
 
 
 def main(argv=None) -> int:

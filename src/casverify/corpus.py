@@ -67,7 +67,7 @@ from .awsport import (
     tail_node,
     AwsString,
     IterDecision,
-    add_overflow_predicate,
+    add_u64_checked,
     aws_string_is_valid,
     c_string_is_valid,
     mul_overflows,
@@ -77,7 +77,6 @@ from .awsport import (
 )
 from .engine import (
     AssertionSite,
-    EXHAUSTIVE,
     ChoiceTape,
     ExploreConfig,
     RunContext,
@@ -95,22 +94,21 @@ from .vacuity import (
     overall_status,
 )
 
-CHANNEL_COUNTEREXAMPLE = "counterexample"
-CHANNEL_VACUITY = "vacuity"
-
-
 @dataclass(frozen=True)
 class Expected:
-    """Verdict a case must produce.  A plain pass also requires zero vacuous
-    groups; failures name either a fault kind or an assertion site."""
+    """Verdict a case must produce.  A run with a vacuous group has status
+    pass_but_vacuous, so a plain pass also means zero vacuous groups;
+    failures name either a fault kind or an assertion site."""
 
     status: str
     fault_kind: FaultKind | None = None
     failed_site: str | None = None
     vacuous_groups: frozenset[str] = frozenset()
 
-    def check(self, report: RunReport, vac: VacuityReport) -> tuple[bool, str]:
-        actual = overall_status(report, vac)
+    def check(self, actual: str, report: RunReport,
+              vac: VacuityReport) -> tuple[bool, str]:
+        """Compare a run's status `actual` (from `overall_status`), verdict
+        and vacuity with this expectation."""
         if actual != self.status:
             return False, f"expected {self.status}, got {actual} ({report.verdict.message})"
         if self.status == STATUS_FAIL:
@@ -120,8 +118,6 @@ class Expected:
             if self.failed_site is not None and report.verdict.failed_site != self.failed_site:
                 return False, (f"expected failed site {self.failed_site}, "
                                f"got {report.verdict.failed_site!r}")
-        if self.status == STATUS_PASS and vac.vacuous_groups:
-            return False, f"unexpected vacuous groups {sorted(vac.vacuous_groups)}"
         if self.status == STATUS_PASS_BUT_VACUOUS \
                 and vac.vacuous_groups != self.vacuous_groups:
             return False, (f"expected vacuous groups {sorted(self.vacuous_groups)}, "
@@ -258,7 +254,7 @@ def _mul_checked_body(ctx: RunContext, restricted: bool):
         ctx.sassert(S_MUL_EXACT, product == (a * b) & U64_MAX)
     else:
         if ctx.is_buggy("mul_checked_postcondition"):
-            classified = add_overflow_predicate(a, b)
+            classified = not add_u64_checked(a, b)[0]
         else:
             classified = mul_overflows(a, b)
         ctx.sassert(S_MUL_OVF, classified)
@@ -589,12 +585,12 @@ def run_case(entry: ProofEntry, case: ProofCase, base_cfg: ExploreConfig) -> Cas
     report = explore(entry.body, cfg, name=entry.name,
                      sites=entry.sites, buggy=case.buggy)
     vac = analyze(report, entry.sites)
+    status = overall_status(report, vac)
     if case.expected is None:
         ok, detail = True, ""
     else:
-        ok, detail = case.expected.check(report, vac)
-    return CaseResult(entry, case, report, vac,
-                      overall_status(report, vac), ok, detail)
+        ok, detail = case.expected.check(status, report, vac)
+    return CaseResult(entry, case, report, vac, status, ok, detail)
 
 
 def run_all_cases(base_cfg: ExploreConfig,
@@ -608,64 +604,9 @@ def run_all_cases(base_cfg: ExploreConfig,
 
 # -- detection matrix ----------------------------------------------------------
 
-CELL_DETECTED = "detected"
-CELL_MISSED = "missed"
-CELL_NA = "n/a"
-
-
-@dataclass
-class MatrixRow:
-    bug_id: str
-    alias: str
-    entry_name: str
-    counterexample: str
-    vacuity: str
-    expected_channel: str
-    matched: bool
-    note: str = ""
-
-
-@dataclass
-class DetectionMatrix:
-    backend: str
-    rows: list[MatrixRow]
-    results: list[CaseResult]
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.matched for r in self.rows)
-
-    @property
-    def detected(self) -> int:
-        return sum(1 for r in self.rows
-                   if (r.expected_channel == CHANNEL_VACUITY and r.vacuity == CELL_DETECTED)
-                   or (r.expected_channel == CHANNEL_COUNTEREXAMPLE
-                       and r.counterexample == CELL_DETECTED))
-
-
 def run_matrix(base_cfg: ExploreConfig,
-               entries: list[ProofEntry] | None = None) -> DetectionMatrix:
-    """Run the seeded-bug case of every bug entry and classify the detection
-    channel.  Cells are populated only from these runs."""
-    rows, results = [], []
-    for entry in entries or register_corpus():
-        if entry.bug_id is None:
-            continue
-        result = run_case(entry, entry.case("buggy"), base_cfg)
-        results.append(result)
-        ce = CELL_DETECTED if result.report.verdict.is_fail else CELL_MISSED
-        if result.report.verdict.is_fail:
-            vac_cell = CELL_NA  # exploration short-circuited; no vacuity claim
-        elif result.report.backend != EXHAUSTIVE:
-            vac_cell = CELL_NA
-        else:
-            vac_cell = CELL_DETECTED if result.vacuity.vacuous_groups else CELL_MISSED
-        if result.case.expected.status == STATUS_PASS_BUT_VACUOUS:
-            channel = CHANNEL_VACUITY
-            matched = ce == CELL_MISSED and vac_cell == CELL_DETECTED
-        else:
-            channel = CHANNEL_COUNTEREXAMPLE
-            matched = result.matched and ce == CELL_DETECTED
-        rows.append(MatrixRow(entry.bug_id, entry.bug_alias or "", entry.name,
-                              ce, vac_cell, channel, matched, note=result.detail))
-    return DetectionMatrix(base_cfg.backend, rows, results)
+               entries: list[ProofEntry] | None = None) -> list[CaseResult]:
+    """Run the "buggy" case of every seeded-bug entry.  The detection
+    matrix is a view of these results (`report.matrix_dict`)."""
+    return [run_case(entry, entry.case("buggy"), base_cfg)
+            for entry in entries or register_corpus() if entry.bug_id is not None]

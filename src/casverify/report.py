@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from .corpus import CaseResult, DetectionMatrix
+from .corpus import CaseResult
 from .engine import ExploreConfig, RunReport
 from .vacuity import (STATUS_BUDGET, STATUS_FAIL, STATUS_PASS,
                       STATUS_PASS_BUT_VACUOUS, VacuityReport)
@@ -67,29 +67,31 @@ def case_result_dict(result: CaseResult) -> dict:
     }
 
 
-def matrix_dict(matrix: DetectionMatrix) -> dict:
-    return {
-        "backend": matrix.backend,
-        "all_match": matrix.all_match,
-        "detected": matrix.detected,
-        "rows": [
-            {
-                "bug": r.bug_id,
-                "alias": r.alias,
-                "proof": r.entry_name,
-                "counterexample": r.counterexample,
-                "vacuity": r.vacuity,
-                "expected_channel": r.expected_channel,
-                "matched": r.matched,
-                "note": r.note,
-            }
-            for r in matrix.rows
-        ],
-    }
+def matrix_dict(backend: str, results: list[CaseResult]) -> dict:
+    """The detection matrix: one row per seeded-bug case, read off that
+    case's own judgement.  The vacuity cell is `n/a` unless the vacuity
+    analysis is authoritative; a row's expected channel names the cell
+    that must read `detected`."""
+    rows = []
+    for r in results:
+        channel = ("vacuity" if r.case.expected.status == STATUS_PASS_BUT_VACUOUS
+                   else "counterexample")
+        row = {"bug": r.entry.bug_id, "alias": r.entry.bug_alias or "",
+               "proof": r.entry.name, "expected_channel": channel, "note": r.detail,
+               "counterexample": "detected" if r.report.verdict.is_fail else "missed",
+               "vacuity": ("n/a" if not r.vacuity.authoritative
+                           else "detected" if r.vacuity.vacuous_groups else "missed")}
+        row["matched"] = r.matched and row[channel] == "detected"
+        rows.append(row)
+    return {"backend": backend, "rows": rows,
+            "all_match": all(row["matched"] for row in rows),
+            "detected": sum(row[row["expected_channel"]] == "detected" for row in rows)}
 
 
-def build_document(command: str, cfg: ExploreConfig, results: list[CaseResult],
-                   matrix: DetectionMatrix | None = None) -> dict:
+def build_document(command: str, cfg: ExploreConfig,
+                   results: list[CaseResult]) -> dict:
+    """The report of one command.  A `matrix` report also carries the
+    detection matrix of its results."""
     summary = {
         "total": len(results),
         "passed": sum(1 for r in results if r.status == STATUS_PASS),
@@ -108,8 +110,8 @@ def build_document(command: str, cfg: ExploreConfig, results: list[CaseResult],
         "proofs": [case_result_dict(r) for r in results],
         "summary": summary,
     }
-    if matrix is not None:
-        doc["matrix"] = matrix_dict(matrix)
+    if command == "matrix":
+        doc["matrix"] = matrix_dict(cfg.backend, results)
     return doc
 
 
@@ -161,11 +163,6 @@ def to_markdown(doc: dict) -> str:
             for cat, ts in sorted(by_cat.items())]
     lines += _md_table(["category", "count", "avg (s)", "min (s)", "max (s)"], rows)
     lines.append("")
-
-    if "matrix" in doc:
-        lines.append("## Detection matrix")
-        lines += matrix_markdown_lines(doc["matrix"])
-        lines.append("")
 
     s = doc["summary"]
     lines.append(

@@ -13,8 +13,6 @@ import pytest
 
 from casverify import speclib as sl
 from casverify.corpus import (
-    CELL_DETECTED,
-    CELL_MISSED,
     corpus_by_name,
     register_corpus,
     run_case,
@@ -28,6 +26,7 @@ from casverify.engine import (
     replay,
 )
 from casverify.heap import FaultKind
+from casverify.report import matrix_dict
 from casverify.awsport import add_u64_checked, mul_u64_checked
 
 from oracles import oracle_explore
@@ -58,11 +57,12 @@ def _passline(n, title):
 
 def test_criterion_1_detection_matrix(case_results):
     """All seven seeded bugs detected through their expected channel."""
-    matrix = run_matrix(ACCEPT_CFG)
-    assert matrix.all_match, [r for r in matrix.rows if not r.matched]
-    assert matrix.detected == 7
-
     r = case_results
+    matrix = matrix_dict(ACCEPT_CFG.backend, [
+        r[(e.name, "buggy")] for e in register_corpus() if e.bug_id is not None])
+    assert matrix["all_match"], [row for row in matrix["rows"] if not row["matched"]]
+    assert matrix["detected"] == len(matrix["rows"]) == 7
+
     # bug1: memory-fault counterexample, and only when malloc can fail
     bug1 = r[("byte_buf_invariant", "buggy")]
     assert bug1.status == "fail"
@@ -214,11 +214,11 @@ def test_criterion_8_random_backend_sanity():
     recorded_misses = {}
     for seed in range(20):
         cfg = replace(ACCEPT_CFG, backend=RANDOM, random_budget=10_000, seed=seed)
-        matrix = run_matrix(cfg)
-        found = {r.bug_id for r in matrix.rows if r.counterexample == CELL_DETECTED}
+        results = run_matrix(cfg)
+        found = {r.entry.bug_id for r in results if r.report.verdict.is_fail}
         assert must_detect <= found, (seed, must_detect - found)
-        for r in matrix.rows:
-            if r.counterexample == CELL_MISSED:
-                recorded_misses.setdefault(r.bug_id, []).append(seed)
+        for r in results:
+            if not r.report.verdict.is_fail:
+                recorded_misses.setdefault(r.entry.bug_id, []).append(seed)
     summary = {bug: len(seeds) for bug, seeds in sorted(recorded_misses.items())}
     _passline(8, f"random sanity, misses recorded: {summary}")

@@ -154,6 +154,45 @@ def test_matrix_exit_zero_and_table(capsys):
     assert "| bug1 |" in out
 
 
+@pytest.mark.parametrize("flags,vacuity_cell", [
+    (["--max-bound", "0"], "detected"),
+    (["--max-bound", "3", "--max-paths", "3"], "n/a"),
+], ids=["bound_0", "budget"])
+def test_matrix_row_does_not_contradict_its_case(flags, vacuity_cell, capsys):
+    # At bound 0 every pq_s_swap path is pruned, so both assert groups are
+    # vacuous where the case expects only the guarded one.  A 3-path budget
+    # ends the pass early, so its vacuity analysis is not authoritative.
+    # Neither row may read as a match.
+    assert run_cli("matrix", "--proofs", "pq_s_swap", *flags) == 1
+    table_row, = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("| bug4 |")]
+    assert table_row.endswith(f"| missed | {vacuity_cell} | vacuity | NO |")
+    assert run_cli("matrix", "--proofs", "pq_s_swap", *flags, "--report", "json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    row, = doc["matrix"]["rows"]
+    assert row["vacuity"] == vacuity_cell
+    assert row["counterexample"] == "missed"
+    assert not row["matched"] and not doc["matrix"]["all_match"]
+    assert doc["proofs"][0]["expected_match"] is False
+
+
+@pytest.mark.parametrize("flags", [
+    *(["--max-bound", str(b)] for b in range(4)),
+    ["--max-bound", "3", "--max-paths", "3"],
+    ["--backend", "random", "--seed", "0", "--random-budget", "50", "--max-bound", "2"],
+], ids=["bound_0", "bound_1", "bound_2", "bound_3", "budget", "random_seed_0"])
+def test_matrix_match_implies_check_expected_match(flags, capsys):
+    run_cli("matrix", *flags, "--report", "json")
+    rows = json.loads(capsys.readouterr().out)["matrix"]["rows"]
+    run_cli("run", "--check-expected", *flags, "--report", "json")
+    checked = {(p["name"], p["case"]): p["expected_match"]
+               for p in json.loads(capsys.readouterr().out)["proofs"]}
+    assert len(rows) == 7
+    for row in rows:
+        if row["matched"]:
+            assert checked[(row["proof"], "buggy")] is True, row
+
+
 def test_matrix_empty_filter_exit_2():
     assert run_cli("matrix", "--proofs", "zzz*") == 2
 

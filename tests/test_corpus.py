@@ -1,13 +1,6 @@
-import dataclasses
-
 import pytest
 
 from casverify.corpus import (
-    CELL_DETECTED,
-    CHANNEL_COUNTEREXAMPLE,
-    CHANNEL_VACUITY,
-    CELL_MISSED,
-    CELL_NA,
     corpus_by_name,
     register_corpus,
     run_all_cases,
@@ -16,6 +9,7 @@ from casverify.corpus import (
 )
 from casverify.engine import ExploreConfig, RunContext, replay
 from casverify.heap import FaultKind
+from casverify.report import build_document
 
 
 def base_cfg(**kw):
@@ -156,25 +150,27 @@ def test_verdicts_agree_across_bounds():
     assert checked == 21 * 3
 
 
+def _matrix(cfg):
+    return build_document("matrix", cfg, run_matrix(cfg))["matrix"]
+
+
 def test_matrix_shape_and_channels():
-    matrix = run_matrix(base_cfg())
-    assert len(matrix.rows) == 7
-    assert matrix.all_match
-    by_bug = {r.bug_id: r for r in matrix.rows}
-    assert by_bug["bug4"].counterexample == CELL_MISSED
-    assert by_bug["bug4"].vacuity == CELL_DETECTED
-    assert by_bug["bug4"].expected_channel == CHANNEL_VACUITY
+    matrix = _matrix(base_cfg())
+    assert len(matrix["rows"]) == 7
+    assert matrix["all_match"]
+    assert matrix["detected"] == 7
+    by_bug = {r["bug"]: r for r in matrix["rows"]}
+    assert by_bug["bug4"]["counterexample"] == "missed"
+    assert by_bug["bug4"]["vacuity"] == "detected"
+    assert by_bug["bug4"]["expected_channel"] == "vacuity"
     for bug in ("bug1", "bug2", "bug3", "bug5", "bug6", "bug7"):
-        assert by_bug[bug].counterexample == CELL_DETECTED
-        assert by_bug[bug].vacuity == CELL_NA
-        assert by_bug[bug].expected_channel == CHANNEL_COUNTEREXAMPLE
+        assert by_bug[bug]["counterexample"] == "detected"
+        assert by_bug[bug]["vacuity"] == "n/a"
+        assert by_bug[bug]["expected_channel"] == "counterexample"
 
 
 def test_matrix_determinism():
-    a = run_matrix(base_cfg())
-    b = run_matrix(base_cfg())
-    assert [dataclasses.astuple(r) for r in a.rows] == \
-        [dataclasses.astuple(r) for r in b.rows]
+    assert _matrix(base_cfg()) == _matrix(base_cfg())
 
 
 def test_stub_proof_constant_paths_loop_proof_growing():

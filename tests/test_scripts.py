@@ -55,6 +55,8 @@ def test_report_digest_smoke(monkeypatch):
     assert [label for label, _ in lines] == [
         "run --check-expected --max-bound 2", "run --check-expected --max-bound 3",
         "run --check-expected --max-bound 4", "run --check-expected --max-bound 5",
+        "matrix --max-bound 2", "matrix --max-bound 3",
+        "matrix --max-bound 4", "matrix --max-bound 5",
         "matrix --backend random --seed 0"]
     # The normalized reports must not change.  Regenerate these values with
     # `scripts/report_digest.py` only when behaviour is meant to change.
@@ -63,6 +65,10 @@ def test_report_digest_smoke(monkeypatch):
         "832bcf6bdecfe809850071ca39cd7eb61624418aef730468c533b9dd34741a31",
         "a1d16b2675f433d92b5c05d901dfd14713e6785cd2cd823dd736ac5b11281b45",
         "76d0eea2d17193379116b41487aad9f2b2f98b349511587dc2e75e3b6f4c004b",
+        "6d8a1917aa3ba00338d9d779edf2a64ae7c95fd111942d15a7fb5f949d48364e",
+        "7317de26a36273c29ce63af75bf7c046cc00b83370b7ad3fbd3cf95fd1495a56",
+        "5c91deb5ab752a564114ca6cb37bd72b086957d5974da7baa0386f2f899d9c85",
+        "1beecd863f34dcf3e10d629855ce1cb1cd4a4b4086f89f9bb2b00b384ada8344",
         "27845f84046416487c5fbd1548fd29bb4808726c4e8b8528e920b91114987f98",
     ]
 
@@ -90,5 +96,5 @@ def test_report_digests_do_not_depend_on_the_hash_seed():
     finally:
         for proc in procs:
             proc.kill()
-    assert len(outputs[0].splitlines()) == 5
+    assert len(outputs[0].splitlines()) == 9
     assert outputs[0] == outputs[1]
