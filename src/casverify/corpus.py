@@ -110,7 +110,12 @@ class Expected:
         """Compare a run's status `actual` (from `overall_status`), verdict
         and vacuity with this expectation."""
         if actual != self.status:
-            return False, f"expected {self.status}, got {actual} ({report.verdict.message})"
+            why = report.verdict.message
+            # An exhaustive pass has no verdict message: name the vacuous
+            # groups instead.
+            if not why and actual == STATUS_PASS_BUT_VACUOUS:
+                why = f"vacuous groups {sorted(vac.vacuous_groups)}"
+            return False, f"expected {self.status}, got {actual}" + (f" ({why})" if why else "")
         if self.status == STATUS_FAIL:
             fk = report.verdict.fault.kind if report.verdict.fault else None
             if self.fault_kind is not None and fk != self.fault_kind:

@@ -15,7 +15,13 @@ statistics.  The backends differ only in where each run's tape comes from:
   continuations.  Counterexamples are minimal in lexicographic tape order.
   A bounded draw (`RunContext.choice_below`) records its bound, and the
   successor steps past the siblings at or above it: they would be pruned
-  at that draw, so they are counted as pruned without being run.
+  at that draw, so they are counted as pruned without being run.  The
+  passing side of the bound is counted too: when a run ends right after
+  `RunContext.sassert_below`, with nothing drawn, stored or asserted after
+  its index draw, the siblings above that index whose check holds on the
+  run's final heap are counted as explored without being run.  So
+  `paths_explored` counts leaves of the tape tree, and a pass may run the
+  proof fewer times than that.
 * random: independent seeded runs with boundary-biased draws; an `assume`
   failure aborts and rejects the run.  A random pass is explicitly weaker
   than an exhaustive pass and the report flags it.  Each index is drawn
@@ -322,7 +328,7 @@ class RunContext:
 
     __slots__ = ("cfg", "_buggy", "_prefix", "_followed", "_stop", "_max_choices",
                  "_extend", "taken", "sizes", "hits", "_wild_count",
-                 "mismatch", "heap")
+                 "mismatch", "heap", "_below")
 
     def __init__(self, cfg: ExploreConfig, *, buggy: frozenset[str] = frozenset(),
                  prefix: Sequence[TapeEntry] = (),
@@ -345,6 +351,9 @@ class RunContext:
         self.sizes: list[int | tuple[int, int]] = []
         self.hits: dict[str, int] = {}
         self._wild_count = 0
+        # Set by `sassert_below`: (tape length after its draw, heap write
+        # epoch and hit total before its check, check).
+        self._below: tuple | None = None
         # Havocked bytes are drawn from the configured byte domain.
         self.heap = Heap(functools.partial(self.choice, cfg.byte_dom),
                          typed_access_check=cfg.typed_access_check,
@@ -390,6 +399,19 @@ class RunContext:
         sizes[-1] = (sizes[-1], bound)
         self.assume(self.taken[-1].index < bound)
         return value
+
+    def sassert_below(self, site, bound: int, check: Callable[[int], object]) -> None:
+        """`i = choice_below(cfg.size_dom, bound)` followed by
+        `sassert(site, check(i))`: the same draws, trace lines, prune and
+        hits.  `check` must be a pure predicate of the index and the heap.
+        The run records the draw, so when it ends with nothing drawn,
+        stored or asserted since, the exhaustive backend counts the passing
+        indices above `i` by calling `check` on the finished heap instead
+        of re-running the proof (`_passing_siblings`)."""
+        i = self.choice_below(self.cfg.size_dom, bound)
+        self._below = (len(self.taken), self.heap.global_epoch,
+                       sum(self.hits.values()), check)
+        self.sassert(site, check(i))
 
     def fresh_wild(self) -> Pointer:
         self._wild_count += 1
@@ -525,6 +547,49 @@ def _dfs_successor(taken: list[TapeEntry], sizes: list[int | tuple[int, int]]
     return successor, skipped
 
 
+def _passing_siblings(ctx: RunContext, room: int) -> int:
+    """How many siblings of an explored run's last draw pass, at most
+    `room`, counted without running the proof again.
+
+    This applies when the run ended right after `sassert_below`: its index
+    draw is the tape's last entry, and since that draw the run stored
+    nothing on the heap and made no hit but the assert's.  A sibling index
+    `j` would then replay the same prefix, draw `j`, and pass iff
+    `check(j)` holds on the same heap, which is the run's final heap.  The
+    siblings above the drawn index and below the bound are checked in turn
+    on it, with the byte source already detached, so reading a havocked
+    byte raises instead of drawing.  Counting stops at the first sibling
+    whose check is false, raises, draws, stores or hits.  The tape's last
+    entry moves to the last counted sibling, so the DFS successor re-runs
+    the first uncounted one exactly as before.  A store the run made after
+    the draw shows in the epoch test after the first sibling's check."""
+    length, epoch, total, check = ctx._below
+    taken, heap, hits = ctx.taken, ctx.heap, ctx.hits
+    if len(taken) != length or sum(hits.values()) != total + 1:
+        return 0
+    sizes = ctx.sizes
+    kind, first = taken[-1]
+    n, bound = sizes[-1]
+    last = min(n, bound, first + 1 + room) - 1
+    run_hits = dict(hits)
+    j = first
+    while j < last:
+        try:
+            ok = check(j + 1)
+        except (Exception, PathPruned, AssertionFailed, ChoiceBudgetExceeded):
+            break
+        if (not ok or len(taken) != length or heap.global_epoch != epoch
+                or hits != run_hits):
+            break
+        j += 1
+    # Undo what a stopping check drew or hit.
+    del taken[length:], sizes[length:]
+    ctx.hits = run_hits
+    if j != first:
+        taken[-1] = _new_entry(TapeEntry, (kind, j))
+    return j - first
+
+
 def _domain_size(record: int | tuple[int, int]) -> int:
     return record[0] if type(record) is tuple else record
 
@@ -564,18 +629,20 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
     draws past it from `extend`.  The exhaustive backend then moves to the
     DFS successor of the run's tape; random and replay runs all start from
     the same prefix.  The leaves the successor steps past at a bounded draw
-    count as pruned runs, up to the `max_runs` budget.  The loop ends at the
-    first failing run, when the tape tree is exhausted, or after `max_runs`
-    runs.  Each run is judged once, after it ends: a recorded tape mismatch
-    is raised, even if the proof caught it; a fault the heap recorded fails
-    the run, however the proof ended, and its message says so when the
-    proof caught the fault; and any other exception fails it too.  A
-    failing run carries its tape, so it replays like any other
-    counterexample.  Every run except a pruned one adds its assertion hits,
-    a run cut off by max_choices_per_path included.  An exhaustive run must
-    keep the shape the previous run recorded on its prefix: it draws every
-    prefix entry, each from a domain of the same size and under the same
-    bound, or ReplayMismatchError is raised."""
+    count as pruned runs, and the siblings `_passing_siblings` finds after
+    an explored run count as explored runs with its hits, both within the
+    `max_runs` budget.  The loop ends at the first failing run, when the
+    tape tree is exhausted, or after `max_runs` runs.  Each run is judged
+    once, after it ends: a recorded tape mismatch is raised, even if the
+    proof caught it; a fault the heap recorded fails the run, however the
+    proof ended, and its message says so when the proof caught the fault;
+    and any other exception fails it too.  A failing run carries its tape,
+    so it replays like any other counterexample.  Every run except a pruned
+    one adds its assertion hits, a run cut off by max_choices_per_path
+    included.  An exhaustive run must keep the shape the previous run
+    recorded on its prefix: it draws every prefix entry, each from a domain
+    of the same size and under the same bound, or ReplayMismatchError is
+    raised."""
     t0 = time.perf_counter()
     hits = {s.site_id: 0 for s in declared}
     explored = pruned = truncated = depth = 0
@@ -628,9 +695,16 @@ def _drive(proof: Callable, cfg: ExploreConfig, backend: str, name: str,
                 raise _prefix_shape_error(prefix, sizes, ctx)
         if len(taken) > depth:
             depth = len(taken)
+        # The run itself plus the passing siblings it stands for.
+        leaves = 1
+        if ctx._below is not None:
+            if exhaustive and ended is None and failure is None:
+                leaves += _passing_siblings(ctx, max_runs - (explored + pruned + truncated))
+                explored += leaves - 1
+            ctx._below = None  # its check may refer to the run
         if ctx.hits:
             for sid, n in ctx.hits.items():
-                hits[sid] = hits.get(sid, 0) + n
+                hits[sid] = hits.get(sid, 0) + n * leaves
         if failure is not None:
             break
         if exhaustive:

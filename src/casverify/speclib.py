@@ -99,10 +99,13 @@ def assert_bytes_match(ctx: RunContext, a: Pointer, b: Pointer, length: int,
                        label: str = "assert_bytes_match") -> None:
     """Assert two byte regions are equivalent.
 
-    The content check draws a single nondet index instead of looping, which
-    keeps the helper O(1) and exercises assume-pruning.  The buggy variant
-    drops the zero-length escape and wrongly requires an empty string and an
-    empty (null) buffer to agree on nullness."""
+    The content check asserts at a single nondet index below `length`
+    (`ctx.sassert_below`) instead of looping, which keeps the helper O(1)
+    and exercises assume-pruning.  When nothing follows the assert, the
+    exhaustive backend counts the passing indices above the drawn one
+    without re-running the proof.  The buggy variant drops the zero-length
+    escape and wrongly requires an empty string and an empty (null) buffer
+    to agree on nullness."""
     null_site, byte_site = bytes_match_sites(label)
     null_eq = a.is_null == b.is_null
     if ctx.is_buggy("assert_bytes_match"):
@@ -110,6 +113,6 @@ def assert_bytes_match(ctx: RunContext, a: Pointer, b: Pointer, length: int,
     else:
         ctx.sassert(null_site, length == 0 or null_eq)
     if length > 0 and not a.is_null and not b.is_null:
-        i = nd_size_t_below(ctx, length)
-        ctx.sassert(byte_site,
-                    ctx.heap.read(a, 1, off=i) == ctx.heap.read(b, 1, off=i))
+        read = ctx.heap.read
+        ctx.sassert_below(byte_site, length,
+                          lambda i: read(a, 1, off=i) == read(b, 1, off=i))

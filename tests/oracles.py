@@ -29,7 +29,8 @@ class _NeedsChoice(Exception):
 class OracleContext:
     """Minimal stand-in for the engine's run context.  Choices come from a
     fixed index tuple; drawing past its end aborts the run so the
-    enumerator can widen the tuple by one position."""
+    enumerator can widen the tuple by one position.  `kinds` lists the
+    kind of each domain drawn, so a leaf's tape can be rebuilt."""
 
     def __init__(self, cfg, forced, buggy=frozenset()):
         self.cfg = cfg
@@ -37,6 +38,7 @@ class OracleContext:
         self._pos = 0
         self._buggy = buggy
         self._wilds = 0
+        self.kinds = []
         byte_dom = Domain.u8(cfg.byte_domain)
         self.heap = Heap(lambda: self.choice(byte_dom),
                          typed_access_check=cfg.typed_access_check,
@@ -47,6 +49,7 @@ class OracleContext:
             raise _NeedsChoice(len(domain.values))
         idx = self._forced[self._pos]
         self._pos += 1
+        self.kinds.append(domain.kind)
         return domain.values[idx]
 
     def choice_below(self, domain, bound):
@@ -62,6 +65,10 @@ class OracleContext:
         sid = site if isinstance(site, str) else site.site_id
         if not cond:
             raise OracleAssertFail(sid)
+
+    def sassert_below(self, site, bound, check):
+        i = self.choice_below(self.cfg.size_dom, bound)
+        self.sassert(site, check(i))
 
     def fresh_wild(self):
         self._wilds += 1

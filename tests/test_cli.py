@@ -66,6 +66,21 @@ def test_check_expected_mode(tmp_path):
     assert ("byte_buf_invariant", "buggy_nofail") in labels
 
 
+def test_check_expected_mismatch_names_the_vacuous_groups(tmp_path):
+    # At bound 0 six cases pass only vacuously where a plain pass or a
+    # failure is expected, and an exhaustive pass has no verdict message:
+    # each mismatch names the vacuous groups instead.
+    out = tmp_path / "checked.json"
+    assert run_cli("run", "--check-expected", "--max-bound", "0", "-o", str(out)) == 1
+    mismatches = json.loads(out.read_text())["summary"]["expected_mismatches"]
+    assert ("pq_s_swap[fixed]: expected pass, got pass_but_vacuous (vacuous groups "
+            "['pq_swap:equivalence', 'pq_swap:post_valid'])") in mismatches
+    assert "byte_buf_invariant[buggy]: expected fail, got pass" in mismatches
+    vacuous = [m for m in mismatches if "got pass_but_vacuous" in m]
+    assert len(vacuous) == 6 and all("(vacuous groups ['" in m for m in vacuous)
+    assert not any(m.endswith("()") for m in mismatches)
+
+
 def test_markdown_report(tmp_path):
     out = tmp_path / "report.md"
     code = run_cli("--proofs", "byte_buf*", "--max-bound", "2",

@@ -283,7 +283,24 @@ def test_runs_are_freed_by_reference_counting():
     # context and heap form a cycle until the run ends.  With the cyclic
     # collector off, every heap must still be gone once its run is over.
     entry = next(e for e in register_corpus() if e.name == "pq_s_swap")
+    string_eq = next(e for e in register_corpus() if e.name == "hash_callback_string_eq")
     heaps, tapes = [], []
+    # Proofs that fold: `sassert_below` records a check that refers to the
+    # run's heap (`assert_bytes_match`) or to its context.  Neither may
+    # keep the run alive once the next run starts.
+    folded_heaps, outlived = [], []
+
+    def folding(ctx):
+        outlived.append(bool(folded_heaps) and folded_heaps[-1]() is not None)
+        folded_heaps.append(weakref.ref(ctx.heap))
+        string_eq.body(ctx)
+
+    def folding_on_context(ctx):
+        outlived.append(bool(folded_heaps) and folded_heaps[-1]() is not None)
+        folded_heaps.append(weakref.ref(ctx.heap))
+        p = ctx.heap.alloc(2)
+        ctx.heap.write(p, b"ab" if sl.nd_bool(ctx) else b"ba")
+        ctx.sassert_below("byte", 2, lambda i: ctx.heap.read(p, 1, off=i) != b"x")
 
     def body(ctx):
         heaps.append(weakref.ref(ctx.heap))
@@ -305,6 +322,13 @@ def test_runs_are_freed_by_reference_counting():
         assert len(heaps) == 678 + 100 + 1 + 2
         alive = sum(r() is not None for r in heaps)
         assert alive == 0, f"{alive} of {len(heaps)} heaps outlived their run"
+        for proof, runs, leaves in ((folding, 49, 58), (folding_on_context, 2, 4)):
+            start = len(folded_heaps)
+            assert explore(proof, cfg, sites=string_eq.sites).paths_explored == leaves
+            assert len(folded_heaps) - start == runs
+        assert not any(outlived), "a run that folded was alive when the next started"
+        alive = sum(r() is not None for r in folded_heaps)
+        assert alive == 0, f"{alive} of {len(folded_heaps)} heaps outlived their run"
     finally:
         if collecting:
             gc.enable()
